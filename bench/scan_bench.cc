@@ -13,10 +13,17 @@
 //                worst case and far above it when zone maps prune.
 //   pruning    — fraction of complete morsels skipped outright for a
 //                selective predicate (sciborq_morsels_skipped_total delta).
+//   impression — box, cone and box-plus-measure predicates over a biased,
+//                unencoded layer 0 built through ImpressionHierarchy: the
+//                gather-filter, cone and folded-conjunction kernels against
+//                the row-at-a-time oracle (Predicate::Matches), and the
+//                COUNT estimate against one built from InclusionProbability
+//                row by row. ns/row is printed for the log only.
 //
 // Exits non-zero if any encoded answer — selection or aggregate — differs
-// bit-for-bit from the scalar oracle, or if a footprint/throughput bar is
-// missed. BENCH_JSON lines are grep-able from CI logs.
+// bit-for-bit from the scalar oracle, if an impression selection or estimate
+// differs from its oracle, or if a footprint/throughput bar is missed.
+// BENCH_JSON lines are grep-able from CI logs.
 
 #include <cstdio>
 #include <cstring>
@@ -28,13 +35,18 @@
 #include "column/encoding/encoding.h"
 #include "column/serde.h"
 #include "column/table.h"
+#include "core/bounded_executor.h"
+#include "core/hierarchy.h"
 #include "exec/expr.h"
 #include "exec/query.h"
 #include "obs/metrics.h"
+#include "skyserver/catalog.h"
+#include "stats/estimators.h"
 #include "util/binio.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
+#include "workload/interest_tracker.h"
 
 using namespace sciborq;
 using sciborq::bench::Header;
@@ -145,6 +157,71 @@ bool BitIdenticalAggregates(const Table& plain, const Table& encoded,
   return true;
 }
 
+/// Layer 0 of a two-layer hierarchy over a SkyServer catalogue, biased
+/// toward the focal point (150, 12) by a workload tracker: the shape every
+/// bounded query scans first. Impressions carry no encodings or zone maps.
+ImpressionHierarchy MakeBiasedHierarchy(const InterestTracker& tracker) {
+  SkyCatalogConfig config;
+  config.num_rows = 400'000;
+  const Table sky = Unwrap(GenerateSkyCatalog(config, 7)).photo_obj_all;
+  ImpressionSpec spec;
+  spec.policy = SamplingPolicy::kBiased;
+  spec.tracker = &tracker;
+  spec.seed = 3;
+  ImpressionHierarchy h = Unwrap(ImpressionHierarchy::Make(
+      sky.schema(), {{"l0", 100'000}, {"l1", 10'000}}, spec));
+  if (!h.IngestBatch(sky).ok()) std::abort();
+  return h;
+}
+
+/// Checks one predicate on the impression against Matches (selection, serial
+/// and pooled) and the COUNT estimate against per-row InclusionProbability;
+/// prints the scan's ns/row. Returns the number of mismatches.
+int CheckImpressionCase(const Impression& imp, const char* name,
+                        PredicatePtr pred, ThreadPool* pool) {
+  const Table& rows = imp.rows();
+  SelectionVector oracle;
+  for (int64_t r = 0; r < rows.num_rows(); ++r) {
+    if (pred->Matches(rows, r)) oracle.push_back(r);
+  }
+  int bad = 0;
+  if (Unwrap(SelectAll(rows, *pred)) != oracle ||
+      Unwrap(SelectAll(rows, *pred, pool)) != oracle) {
+    std::fprintf(stderr, "FAILED: impression selection mismatch on %s\n",
+                 name);
+    ++bad;
+  }
+  std::vector<double> probs;
+  probs.reserve(oracle.size());
+  for (const int64_t r : oracle) probs.push_back(imp.InclusionProbability(r));
+  AggregateQuery q;
+  q.aggregates = {{AggKind::kCount, ""}};
+  q.filter = pred->Clone();
+  const BoundedAnswer got = Unwrap(EstimateOnImpression(imp, q, 0.95));
+  if (!oracle.empty()) {
+    const AggregateEstimate want =
+        Unwrap(EstimateCountHorvitzThompson(probs, 0.95));
+    const AggregateEstimate& est = got.estimates[0][0];
+    if (std::memcmp(&est.estimate, &want.estimate, sizeof(double)) != 0 ||
+        std::memcmp(&est.std_error, &want.std_error, sizeof(double)) != 0) {
+      std::fprintf(stderr, "FAILED: impression COUNT estimate mismatch on %s\n",
+                   name);
+      ++bad;
+    }
+  }
+  const double ns_per_row =
+      BestScanSeconds(rows, *pred) * 1e9 / static_cast<double>(rows.num_rows());
+  std::printf("impression %-12s %6.2f ns/row, %zu of %lld rows selected\n",
+              name, ns_per_row, oracle.size(),
+              static_cast<long long>(rows.num_rows()));
+  JsonLine("scan_impression")
+      .Str("predicate", name)
+      .Num("ns_per_row", ns_per_row)
+      .Int("selected_rows", static_cast<int64_t>(oracle.size()))
+      .Emit();
+  return bad;
+}
+
 }  // namespace
 
 int main() {
@@ -229,6 +306,36 @@ int main() {
     ++mismatches;
   }
 
+  // ---- impression scans vs the row-at-a-time oracle ------------------------
+  {
+    InterestTracker tracker = Unwrap(InterestTracker::Make(
+        {{"ra", 120.0, 3.0, 40}, {"dec", 0.0, 1.5, 40}}));
+    Rng focal(11);
+    for (int i = 0; i < 500; ++i) {
+      tracker.ObserveValue("ra", focal.Gaussian(150.0, 4.0));
+      tracker.ObserveValue("dec", focal.Gaussian(12.0, 3.0));
+    }
+    const ImpressionHierarchy h = MakeBiasedHierarchy(tracker);
+    const Impression& l0 = h.layer(0);
+    mismatches += CheckImpressionCase(
+        l0, "box",
+        And(Ge("ra", Value(145.0)), Le("ra", Value(155.0)),
+            Ge("dec", Value(8.0)), Le("dec", Value(16.0))),
+        &pool);
+    mismatches += CheckImpressionCase(
+        l0, "cone", Cone("ra", "dec", 150.0, 12.0, 4.0), &pool);
+    mismatches += CheckImpressionCase(
+        l0, "box_measure",
+        And(Ge("ra", Value(140.0)), Le("ra", Value(160.0)),
+            Ge("dec", Value(5.0)), Le("dec", Value(20.0)),
+            Lt("r", Value(20.0))),
+        &pool);
+    mismatches += CheckImpressionCase(
+        l0, "cone_measure",
+        And(Cone("ra", "dec", 150.0, 12.0, 6.0), Gt("r", Value(18.0))),
+        &pool);
+  }
+
   // ---- morsel pruning ratio ------------------------------------------------
   obs::Counter* skipped = obs::DefaultRegistry()->GetCounter(
       "sciborq_morsels_skipped_total",
@@ -250,7 +357,7 @@ int main() {
 
   // ---- gates ---------------------------------------------------------------
   if (mismatches > 0) {
-    std::fprintf(stderr, "FAILED: %d encoded-vs-scalar mismatch(es)\n",
+    std::fprintf(stderr, "FAILED: %d answer mismatch(es) against an oracle\n",
                  mismatches);
     return 1;
   }

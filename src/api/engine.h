@@ -57,8 +57,11 @@ struct EngineOptions {
   /// fallback for individual unspecified terms).
   QualityBound default_bound;
   /// Per-table query-log window (<= 0 = unbounded), the paper's "predefined
-  /// number of queries" over which interest is defined (§4).
-  int64_t query_log_window = 0;
+  /// number of queries" over which interest is defined (§4). The log holds a
+  /// deep copy of every query and is written into every snapshot, so the
+  /// default is finite: an unbounded log grows memory, checkpoints and
+  /// recovery with the queries served.
+  int64_t query_log_window = 8192;
   /// Worker threads shared by all queries' scans: 0 = hardware concurrency,
   /// 1 = serial per query (the default — per-query determinism; concurrency
   /// then comes from many client threads, the server shape).

@@ -141,7 +141,8 @@ Result<std::vector<TableInfo>> SciborqClient::ListTables() {
       const std::string payload,
       RoundTrip(Opcode::kCatalog, "", kWireVersionV5, &version));
   WireReader r(payload);
-  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t n, r.ReadU32());
+  // A TableInfo is at least its name, counts and flags: 37 bytes.
+  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t n, r.ReadCount(37, "table"));
   std::vector<TableInfo> tables;
   tables.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {

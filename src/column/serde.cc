@@ -44,23 +44,6 @@ uint8_t DataTypeToWire(DataType type) {
 
 }  // namespace
 
-Status CheckDecodeCount(int64_t count, int64_t min_bytes_each,
-                        const BinaryReader& r, const char* what) {
-  if (count < 0) {
-    return Status::InvalidArgument(
-        StrFormat("serde: negative %s count %lld", what,
-                  static_cast<long long>(count)));
-  }
-  if (min_bytes_each > 0 && count > r.remaining() / min_bytes_each) {
-    return Status::InvalidArgument(StrFormat(
-        "serde: %s count %lld exceeds what the %lld remaining bytes could "
-        "hold",
-        what, static_cast<long long>(count),
-        static_cast<long long>(r.remaining())));
-  }
-  return Status::OK();
-}
-
 // -- Value ------------------------------------------------------------------
 
 void EncodeValue(const Value& v, BinaryWriter* w) {
@@ -126,9 +109,8 @@ void EncodeSchema(const Schema& schema, BinaryWriter* w) {
 }
 
 Result<Schema> DecodeSchema(BinaryReader* r) {
-  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t n, r->ReadU32());
   // Each field needs at least a 4-byte name length + type + nullable.
-  SCIBORQ_RETURN_NOT_OK(CheckDecodeCount(n, 6, *r, "schema field"));
+  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t n, r->ReadCount(6, "schema field"));
   std::vector<Field> fields;
   fields.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -190,7 +172,8 @@ Result<Column> DecodeColumn(BinaryReader* r) {
   SCIBORQ_ASSIGN_OR_RETURN(const bool has_nulls, r->ReadBool());
   // Minimum bytes per row: 1 validity byte when nulls are present, else the
   // smallest possible value (a 4-byte string length).
-  SCIBORQ_RETURN_NOT_OK(CheckDecodeCount(size, has_nulls ? 1 : 4, *r, "column row"));
+  SCIBORQ_RETURN_NOT_OK(
+      r->CheckCount(size, has_nulls ? 1 : 4, "column row"));
   // Bulk fast path, mirroring EncodeColumn: a null-free numeric column is
   // one contiguous LE array.
   if (kHostLittleEndian && !has_nulls && type != DataType::kString) {
@@ -328,8 +311,8 @@ Status DecodeInt64Chunk(BinaryReader* r, uint8_t tag, int64_t rows,
       return Status::OK();
     }
     case ColumnEncoding::kRle: {
-      SCIBORQ_ASSIGN_OR_RETURN(const uint32_t runs, r->ReadU32());
-      SCIBORQ_RETURN_NOT_OK(CheckDecodeCount(runs, 12, *r, "RLE run"));
+      SCIBORQ_ASSIGN_OR_RETURN(const uint32_t runs,
+                               r->ReadCount(12, "RLE run"));
       int64_t pos = 0;
       for (uint32_t run = 0; run < runs; ++run) {
         SCIBORQ_ASSIGN_OR_RETURN(const int64_t value, r->ReadI64());
@@ -397,8 +380,8 @@ Status DecodeStringChunk(BinaryReader* r, uint8_t tag, int64_t rows,
       }
       return Status::OK();
     case ColumnEncoding::kDict: {
-      SCIBORQ_ASSIGN_OR_RETURN(const uint32_t dict_n, r->ReadU32());
-      SCIBORQ_RETURN_NOT_OK(CheckDecodeCount(dict_n, 4, *r, "dictionary value"));
+      SCIBORQ_ASSIGN_OR_RETURN(const uint32_t dict_n,
+                               r->ReadCount(4, "dictionary value"));
       std::vector<std::string> dict;
       dict.reserve(dict_n);
       for (uint32_t i = 0; i < dict_n; ++i) {
@@ -451,8 +434,8 @@ Result<Column> DecodeColumnEncoded(BinaryReader* r) {
   SCIBORQ_ASSIGN_OR_RETURN(const DataType type, DataTypeFromWire(tag));
   SCIBORQ_ASSIGN_OR_RETURN(const int64_t size, r->ReadI64());
   SCIBORQ_ASSIGN_OR_RETURN(const bool has_nulls, r->ReadBool());
-  SCIBORQ_RETURN_NOT_OK(CheckDecodeCount(size, has_nulls ? 1 : 0, *r,
-                                         "encoded column row"));
+  SCIBORQ_RETURN_NOT_OK(
+      r->CheckCount(size, has_nulls ? 1 : 0, "encoded column row"));
   std::vector<uint8_t> valid;
   if (has_nulls) {
     valid.resize(static_cast<size_t>(size));
@@ -475,7 +458,7 @@ Result<Column> DecodeColumnEncoded(BinaryReader* r) {
   // Value storage below still grows chunk-by-chunk, keeping the peak
   // allocation proportional to bytes actually decoded.
   SCIBORQ_RETURN_NOT_OK(
-      CheckDecodeCount(expected_chunks, 14, *r, "encoded column chunk"));
+      r->CheckCount(expected_chunks, 14, "encoded column chunk"));
 
   if (type == DataType::kString) {
     std::vector<std::string> values;

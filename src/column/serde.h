@@ -20,12 +20,6 @@ namespace sciborq {
 // tampered buffer surfaces as InvalidArgument, never as UB or an OOM.
 // ---------------------------------------------------------------------------
 
-/// Rejects a claimed element count that the remaining bytes cannot possibly
-/// back (each element needs at least `min_bytes_each` bytes), so hostile
-/// counts fail before any allocation. Shared by every storage/wire decoder.
-Status CheckDecodeCount(int64_t count, int64_t min_bytes_each,
-                        const BinaryReader& r, const char* what);
-
 /// Value: u8 tag (0 null, 1 int64, 2 double, 3 string) + payload.
 void EncodeValue(const Value& v, BinaryWriter* w);
 Result<Value> DecodeValue(BinaryReader* r);

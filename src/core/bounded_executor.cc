@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <unordered_map>
 
 #include "exec/aggregate.h"
@@ -172,13 +173,18 @@ Result<BoundedAnswer> EstimateOnImpression(const Impression& impression,
 
   BoundedAnswer answer;
   answer.answered_by = impression.name();
+  const std::shared_ptr<const std::vector<double>> all_probs =
+      impression.InclusionProbabilities();
+  const auto gather_probs = [&all_probs](const SelectionVector& rows) {
+    std::vector<double> probs(rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      probs[i] = (*all_probs)[static_cast<size_t>(rows[i])];
+    }
+    return probs;
+  };
 
   if (query.group_by.empty()) {
-    std::vector<double> probs;
-    probs.reserve(matching.size());
-    for (const int64_t row : matching) {
-      probs.push_back(impression.InclusionProbability(row));
-    }
+    const std::vector<double> probs = gather_probs(matching);
     SCIBORQ_RETURN_NOT_OK(EstimateRow(sample, matching, probs, query,
                                       confidence, Value::Null(), &answer));
     return answer;
@@ -220,11 +226,7 @@ Result<BoundedAnswer> EstimateOnImpression(const Impression& impression,
     partitions[idx].push_back(row);
   }
   for (size_t g = 0; g < partitions.size(); ++g) {
-    std::vector<double> probs;
-    probs.reserve(partitions[g].size());
-    for (const int64_t row : partitions[g]) {
-      probs.push_back(impression.InclusionProbability(row));
-    }
+    const std::vector<double> probs = gather_probs(partitions[g]);
     SCIBORQ_RETURN_NOT_OK(EstimateRow(sample, partitions[g], probs, query,
                                       confidence, keys[g], &answer));
   }

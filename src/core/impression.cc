@@ -37,6 +37,7 @@ void Impression::AppendSampledRow(const Table& src, int64_t src_row,
   rows_.AppendRowFrom(src, src_row);
   weights_.push_back(weight);
   source_ids_.push_back(source_id);
+  ++mutations_;
 }
 
 void Impression::ReplaceSampledRow(int64_t slot, const Table& src,
@@ -46,6 +47,7 @@ void Impression::ReplaceSampledRow(int64_t slot, const Table& src,
   rows_.SetRowFrom(src, src_row, slot);
   weights_[static_cast<size_t>(slot)] = weight;
   source_ids_[static_cast<size_t>(slot)] = source_id;
+  ++mutations_;
 }
 
 Status Impression::SetExplicitInclusionProbabilities(
@@ -61,7 +63,20 @@ Status Impression::SetExplicitInclusionProbabilities(
     }
   }
   explicit_probs_ = std::move(probs);
+  ++mutations_;
   return Status::OK();
+}
+
+std::shared_ptr<const std::vector<double>> Impression::InclusionProbabilities()
+    const {
+  return probs_cache_.Get(mutations_, [this] {
+    auto probs = std::make_shared<std::vector<double>>(
+        static_cast<size_t>(size()));
+    for (int64_t r = 0; r < size(); ++r) {
+      (*probs)[static_cast<size_t>(r)] = InclusionProbability(r);
+    }
+    return std::shared_ptr<const std::vector<double>>(std::move(probs));
+  });
 }
 
 double Impression::InclusionProbability(int64_t row) const {

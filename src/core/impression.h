@@ -2,11 +2,13 @@
 #define SCIBORQ_CORE_IMPRESSION_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "column/table.h"
 #include "util/result.h"
+#include "util/thread_annotations.h"
 
 namespace sciborq {
 
@@ -81,6 +83,12 @@ class Impression {
   ///    window rather than the full history — by design, §3.3).
   double InclusionProbability(int64_t row) const;
 
+  /// InclusionProbability(r) for every stored row r, bit for bit. Computed
+  /// on the first call after a mutation and shared by every reader until the
+  /// next one: each mutator only bumps a counter that the call compares, so
+  /// ingest never computes it. Safe to call from concurrent readers.
+  std::shared_ptr<const std::vector<double>> InclusionProbabilities() const;
+
   /// Memory footprint of the sampled rows (the §3.1 size knob).
   int64_t MemoryUsageBytes() const { return rows_.MemoryUsageBytes(); }
 
@@ -109,8 +117,14 @@ class Impression {
   /// Overwrites slot `slot` (reservoir eviction).
   void ReplaceSampledRow(int64_t slot, const Table& src, int64_t src_row,
                          double weight, int64_t source_id);
-  void set_population_seen(int64_t n) { population_seen_ = n; }
-  void set_population_weight(double w) { population_weight_ = w; }
+  void set_population_seen(int64_t n) {
+    population_seen_ = n;
+    ++mutations_;
+  }
+  void set_population_weight(double w) {
+    population_weight_ = w;
+    ++mutations_;
+  }
   /// Pins explicit inclusion probabilities (derived impressions). Length
   /// must equal size().
   Status SetExplicitInclusionProbabilities(std::vector<double> probs);
@@ -118,6 +132,7 @@ class Impression {
   void set_last_seen_params(int64_t k, int64_t expected_ingest) {
     freshness_k_ = k;
     expected_ingest_ = expected_ingest;
+    ++mutations_;
   }
 
   /// Retention model for biased impressions: the sampler's acceptance curve
@@ -130,10 +145,45 @@ class Impression {
     acceptance_curve_ = std::move(curve);
     curve_interval_ = interval;
     total_accepted_ = total_accepted;
+    ++mutations_;
   }
   bool has_acceptance_model() const { return curve_interval_ > 0; }
 
  private:
+  /// The InclusionProbabilities() cache, tagged with the mutation count it
+  /// was computed at. A copy starts empty and an assignment empties it, so
+  /// Impression keeps its value semantics.
+  class ProbabilityCache {
+   public:
+    ProbabilityCache() = default;
+    ProbabilityCache(const ProbabilityCache&) noexcept {}
+    ProbabilityCache& operator=(const ProbabilityCache& other) noexcept {
+      if (this != &other) {
+        MutexLock lock(&mu_);
+        probs_.reset();
+      }
+      return *this;
+    }
+
+    /// The vector computed at `mutations`, refilled by `fill()` when the
+    /// cached one is missing or older.
+    template <typename Fill>
+    std::shared_ptr<const std::vector<double>> Get(uint64_t mutations,
+                                                   const Fill& fill) {
+      MutexLock lock(&mu_);
+      if (probs_ == nullptr || computed_at_ != mutations) {
+        probs_ = fill();
+        computed_at_ = mutations;
+      }
+      return probs_;
+    }
+
+   private:
+    Mutex mu_;
+    std::shared_ptr<const std::vector<double>> probs_ GUARDED_BY(mu_);
+    uint64_t computed_at_ GUARDED_BY(mu_) = 0;
+  };
+
   std::string name_;
   int64_t capacity_;
   SamplingPolicy policy_;
@@ -148,6 +198,10 @@ class Impression {
   std::vector<int64_t> acceptance_curve_;
   int64_t curve_interval_ = 0;
   int64_t total_accepted_ = 0;
+  /// Bumped by every mutator. Mutators need exclusive access, like every
+  /// other member, so a plain counter suffices.
+  uint64_t mutations_ = 0;
+  mutable ProbabilityCache probs_cache_;
 
   /// Interpolated cumulative post-fill acceptances after `position` offers.
   double AcceptancesAt(double position) const;

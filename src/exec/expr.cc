@@ -33,6 +33,18 @@ void FillDense(int64_t begin, int64_t end, SelectionVector* out) {
   std::iota(out->begin(), out->end(), begin);
 }
 
+/// Keeps the rows for which `keep(row)` holds, in place and in order — the
+/// row-at-a-time narrowing step for columns the kernels do not cover
+/// (strings, nullable columns).
+template <typename Keep>
+void NarrowRows(SelectionVector* rows, Keep keep) {
+  size_t k = 0;
+  for (const int64_t row : *rows) {
+    if (keep(row)) (*rows)[k++] = row;
+  }
+  rows->resize(k);
+}
+
 }  // namespace
 
 Result<SelectionVector> SelectAll(const Table& table, const Predicate& pred,
@@ -45,9 +57,13 @@ Result<SelectionVector> SelectAll(const Table& table, const Predicate& pred,
   // is decided never touches column data.
   SelectionVector out;
   Status first_error = Status::OK();
+  // On a pool every partial waits for the last morsel before the fold, and
+  // the kernels size each one for its whole morsel: keep only the used part.
+  const bool partials_wait = pool != nullptr && pool->num_threads() > 1;
   ParallelMorselReduce<Result<SelectionVector>>(
       pool, table.num_rows(), kDefaultMorselRows,
-      [&table, &pred](int64_t begin, int64_t end) -> Result<SelectionVector> {
+      [&table, &pred, partials_wait](int64_t begin,
+                                     int64_t end) -> Result<SelectionVector> {
         SelectionVector selected;
         switch (pred.TestMorsel(table, begin, end)) {
           case MorselVerdict::kSkipAll:
@@ -60,6 +76,9 @@ Result<SelectionVector> SelectAll(const Table& table, const Predicate& pred,
             break;
         }
         SCIBORQ_RETURN_NOT_OK(pred.SelectRange(table, begin, end, &selected));
+        if (partials_wait && selected.size() < selected.capacity() / 2) {
+          selected.shrink_to_fit();
+        }
         return selected;
       },
       [&out, &first_error](Result<SelectionVector>&& partial) {
@@ -82,9 +101,8 @@ Result<std::unique_ptr<Predicate>> Predicate::BindParams(
 
 Status Predicate::SelectRange(const Table& table, int64_t begin, int64_t end,
                               SelectionVector* out) const {
-  SelectionVector candidates;
-  FillDense(begin, end, &candidates);
-  return Select(table, candidates, out);
+  FillDense(begin, end, out);
+  return Select(table, out);
 }
 
 std::string_view CompareOpToString(CompareOp op) {
@@ -128,28 +146,35 @@ class ComparePredicate final : public Predicate {
     return Status::OK();
   }
 
-  Status Select(const Table& table, const SelectionVector& candidates,
-                SelectionVector* out) const override {
-    out->clear();
-    SCIBORQ_RETURN_NOT_OK(Validate(table.schema()));
-    SCIBORQ_ASSIGN_OR_RETURN(const Column* col,
-                             table.ColumnByName(column_));
+  Status Select(const Table& table, SelectionVector* rows) const override {
+    SCIBORQ_ASSIGN_OR_RETURN(const Column* col, table.ColumnByName(column_));
+    if (literal_.is_null() ||
+        literal_.is_string() != (col->type() == DataType::kString)) {
+      return Validate(table.schema());
+    }
     if (col->type() == DataType::kString) {
       const std::string& want = literal_.str();
-      for (const int64_t row : candidates) {
-        if (col->IsNull(row)) continue;
-        if (MatchesOrdering(col->GetString(row).compare(want))) {
-          out->push_back(row);
-        }
-      }
+      NarrowRows(rows, [&](int64_t row) {
+        return !col->IsNull(row) &&
+               MatchesOrdering(col->GetString(row).compare(want));
+      });
       return Status::OK();
     }
     const double want = literal_.AsDouble();
-    for (const int64_t row : candidates) {
-      if (col->IsNull(row)) continue;
-      const double v = col->NumericAt(row);
-      if (MatchesValue(v, want)) out->push_back(row);
+    if (!col->has_nulls()) {
+      const int64_t n = static_cast<int64_t>(rows->size());
+      const int64_t k =
+          col->type() == DataType::kDouble
+              ? FilterDoubleCompareSel(col->data_double().data(), rows->data(),
+                                       n, op_, want)
+              : FilterInt64CompareSel(col->data_int64().data(), rows->data(),
+                                      n, op_, want);
+      rows->resize(static_cast<size_t>(k));
+      return Status::OK();
     }
+    NarrowRows(rows, [&](int64_t row) {
+      return !col->IsNull(row) && MatchesValue(col->NumericAt(row), want);
+    });
     return Status::OK();
   }
 
@@ -260,6 +285,10 @@ class ComparePredicate final : public Predicate {
   std::unique_ptr<Predicate> Clone() const override {
     return std::make_unique<ComparePredicate>(column_, op_, literal_);
   }
+
+  const std::string& column() const { return column_; }
+  CompareOp op() const { return op_; }
+  const Value& literal() const { return literal_; }
 
  private:
   bool MatchesValue(double v, double want) const {
@@ -413,16 +442,25 @@ class BetweenPredicate final : public Predicate {
     return Status::OK();
   }
 
-  Status Select(const Table& table, const SelectionVector& candidates,
-                SelectionVector* out) const override {
-    out->clear();
-    SCIBORQ_RETURN_NOT_OK(Validate(table.schema()));
+  Status Select(const Table& table, SelectionVector* rows) const override {
     SCIBORQ_ASSIGN_OR_RETURN(const Column* col, table.ColumnByName(column_));
-    for (const int64_t row : candidates) {
-      if (col->IsNull(row)) continue;
-      const double v = col->NumericAt(row);
-      if (v >= lo_ && v <= hi_) out->push_back(row);
+    if (col->type() == DataType::kString) return Validate(table.schema());
+    if (!col->has_nulls()) {
+      const int64_t n = static_cast<int64_t>(rows->size());
+      const int64_t k =
+          col->type() == DataType::kDouble
+              ? FilterDoubleBetweenSel(col->data_double().data(), rows->data(),
+                                       n, lo_, hi_)
+              : FilterInt64BetweenSel(col->data_int64().data(), rows->data(),
+                                      n, lo_, hi_);
+      rows->resize(static_cast<size_t>(k));
+      return Status::OK();
     }
+    NarrowRows(rows, [&](int64_t row) {
+      if (col->IsNull(row)) return false;
+      const double v = col->NumericAt(row);
+      return v >= lo_ && v <= hi_;
+    });
     return Status::OK();
   }
 
@@ -458,11 +496,7 @@ class BetweenPredicate final : public Predicate {
                      SelectionVector* out) const override {
     out->clear();
     SCIBORQ_ASSIGN_OR_RETURN(const Column* col, table.ColumnByName(column_));
-    if (col->type() == DataType::kString) {
-      return Status::InvalidArgument(
-          StrFormat("BETWEEN requires numeric column, got '%s'",
-                    column_.c_str()));
-    }
+    if (col->type() == DataType::kString) return Validate(table.schema());
     const EncodedMorsel* m = FindEncodedMorsel(*col, begin, end);
     if (m != nullptr && m->encoding == ColumnEncoding::kRle) {
       const bool no_nulls = m->zone.null_count == 0;
@@ -537,18 +571,49 @@ class ConePredicate final : public Predicate {
     return Status::OK();
   }
 
-  Status Select(const Table& table, const SelectionVector& candidates,
-                SelectionVector* out) const override {
-    out->clear();
-    SCIBORQ_RETURN_NOT_OK(Validate(table.schema()));
+  Status Select(const Table& table, SelectionVector* rows) const override {
     SCIBORQ_ASSIGN_OR_RETURN(const Column* colx, table.ColumnByName(cx_));
     SCIBORQ_ASSIGN_OR_RETURN(const Column* coly, table.ColumnByName(cy_));
+    if (colx->type() == DataType::kString ||
+        coly->type() == DataType::kString) {
+      return Validate(table.schema());
+    }
     const double r2 = r_ * r_;
-    for (const int64_t row : candidates) {
-      if (colx->IsNull(row) || coly->IsNull(row)) continue;
-      const double dx = colx->NumericAt(row) - x0_;
-      const double dy = coly->NumericAt(row) - y0_;
-      if (dx * dx + dy * dy <= r2) out->push_back(row);
+    if (!colx->has_nulls() && !coly->has_nulls()) {
+      const int64_t n = static_cast<int64_t>(rows->size());
+      const int64_t k =
+          WithNumericData(*colx, *coly, [&](const auto* xs, const auto* ys) {
+            return FilterConeSel(xs, ys, rows->data(), n, x0_, y0_, r2);
+          });
+      rows->resize(static_cast<size_t>(k));
+      return Status::OK();
+    }
+    NarrowRows(rows, [&](int64_t row) { return Matches(*colx, *coly, row); });
+    return Status::OK();
+  }
+
+  Status SelectRange(const Table& table, int64_t begin, int64_t end,
+                     SelectionVector* out) const override {
+    SCIBORQ_ASSIGN_OR_RETURN(const Column* colx, table.ColumnByName(cx_));
+    SCIBORQ_ASSIGN_OR_RETURN(const Column* coly, table.ColumnByName(cy_));
+    if (colx->type() == DataType::kString ||
+        coly->type() == DataType::kString) {
+      out->clear();
+      return Validate(table.schema());
+    }
+    if (!colx->has_nulls() && !coly->has_nulls()) {
+      out->resize(static_cast<size_t>(end - begin));
+      const int64_t k =
+          WithNumericData(*colx, *coly, [&](const auto* xs, const auto* ys) {
+            return FilterCone(xs, ys, begin, end, x0_, y0_, r_ * r_,
+                              out->data());
+          });
+      out->resize(static_cast<size_t>(k));
+      return Status::OK();
+    }
+    out->clear();
+    for (int64_t row = begin; row < end; ++row) {
+      if (Matches(*colx, *coly, row)) out->push_back(row);
     }
     return Status::OK();
   }
@@ -557,10 +622,7 @@ class ConePredicate final : public Predicate {
     const Column* colx = table.ColumnByName(cx_).value_or(nullptr);
     const Column* coly = table.ColumnByName(cy_).value_or(nullptr);
     if (colx == nullptr || coly == nullptr) return false;
-    if (colx->IsNull(row) || coly->IsNull(row)) return false;
-    const double dx = colx->NumericAt(row) - x0_;
-    const double dy = coly->NumericAt(row) - y0_;
-    return dx * dx + dy * dy <= r_ * r_;
+    return Matches(*colx, *coly, row);
   }
 
   MorselVerdict TestMorsel(const Table& table, int64_t begin,
@@ -648,6 +710,29 @@ class ConePredicate final : public Predicate {
     return std::fabs(a) >= std::fabs(b) ? a : b;
   }
 
+  /// The row-at-a-time oracle; the cone kernels reproduce it bit for bit.
+  bool Matches(const Column& colx, const Column& coly, int64_t row) const {
+    if (colx.IsNull(row) || coly.IsNull(row)) return false;
+    const double dx = colx.NumericAt(row) - x0_;
+    const double dy = coly.NumericAt(row) - y0_;
+    return dx * dx + dy * dy <= r_ * r_;
+  }
+
+  /// Calls fn(xs, ys) with the raw value arrays of two numeric columns,
+  /// typed double or int64_t each.
+  template <typename Fn>
+  static int64_t WithNumericData(const Column& colx, const Column& coly,
+                                 Fn fn) {
+    const bool xd = colx.type() == DataType::kDouble;
+    const bool yd = coly.type() == DataType::kDouble;
+    const double* xdbl = colx.data_double().data();
+    const double* ydbl = coly.data_double().data();
+    const int64_t* xint = colx.data_int64().data();
+    const int64_t* yint = coly.data_int64().data();
+    if (xd) return yd ? fn(xdbl, ydbl) : fn(xdbl, yint);
+    return yd ? fn(xint, ydbl) : fn(xint, yint);
+  }
+
   std::string cx_;
   std::string cy_;
   double x0_;
@@ -665,9 +750,8 @@ class ParamPredicate final : public Predicate {
 
   Status Validate(const Schema&) const override { return Unbound(); }
 
-  Status Select(const Table&, const SelectionVector&,
-                SelectionVector* out) const override {
-    out->clear();
+  Status Select(const Table&, SelectionVector* rows) const override {
+    rows->clear();
     return Unbound();
   }
 
@@ -726,20 +810,18 @@ class NotPredicate final : public Predicate {
     return child_->Validate(schema);
   }
 
-  Status Select(const Table& table, const SelectionVector& candidates,
-                SelectionVector* out) const override {
-    out->clear();
-    SelectionVector matched;
-    SCIBORQ_RETURN_NOT_OK(child_->Select(table, candidates, &matched));
-    // candidates and matched are both ascending; emit the set difference.
+  Status Select(const Table& table, SelectionVector* rows) const override {
+    SelectionVector matched = *rows;
+    SCIBORQ_RETURN_NOT_OK(child_->Select(table, &matched));
+    // matched is an order-preserving subsequence of rows; keep the rest.
     size_t m = 0;
-    for (const int64_t row : candidates) {
+    NarrowRows(rows, [&](int64_t row) {
       if (m < matched.size() && matched[m] == row) {
         ++m;
-      } else {
-        out->push_back(row);
+        return false;
       }
-    }
+      return true;
+    });
     return Status::OK();
   }
 
@@ -811,26 +893,66 @@ class NotPredicate final : public Predicate {
   PredicatePtr child_;
 };
 
+/// `column >= a` or `column <= b` on a numeric literal: half of a range a
+/// conjunction can fold into one Between. Null when `p` is anything else.
+const ComparePredicate* RangeBound(const Predicate& p) {
+  const auto* c = dynamic_cast<const ComparePredicate*>(&p);
+  if (c == nullptr ||
+      (c->op() != CompareOp::kGe && c->op() != CompareOp::kLe)) {
+    return nullptr;
+  }
+  const Value& lit = c->literal();
+  return lit.is_null() || lit.is_string() ? nullptr : c;
+}
+
+/// Conjunction. Evaluation follows an execution plan built once at
+/// construction: the children in order, except that each `col >= a` pairs
+/// with a later `col <= b` on the same column (or the reverse) into one
+/// `col BETWEEN a AND b` at the first one's position. The fold is exact —
+/// both forms reject nulls and NaN and compare through the same double cast —
+/// and it halves the passes over a range's column. Rendering, validation and
+/// interest tracking read the original children, so none of them changes.
 class AndPredicate final : public Predicate {
  public:
   explicit AndPredicate(std::vector<PredicatePtr> children)
-      : children_(std::move(children)) {}
+      : children_(std::move(children)) {
+    std::vector<bool> folded(children_.size(), false);
+    plan_.reserve(children_.size());
+    for (size_t i = 0; i < children_.size(); ++i) {
+      if (folded[i]) continue;
+      const Predicate* step = children_[i].get();
+      if (const ComparePredicate* a = RangeBound(*children_[i])) {
+        for (size_t j = i + 1; j < children_.size(); ++j) {
+          const ComparePredicate* b =
+              folded[j] ? nullptr : RangeBound(*children_[j]);
+          if (b == nullptr || b->op() == a->op() ||
+              b->column() != a->column()) {
+            continue;
+          }
+          const ComparePredicate* lo = a->op() == CompareOp::kGe ? a : b;
+          const ComparePredicate* hi = lo == a ? b : a;
+          folded_.push_back(Between(a->column(), lo->literal().AsDouble(),
+                                    hi->literal().AsDouble()));
+          step = folded_.back().get();
+          folded[j] = true;
+          break;
+        }
+      }
+      plan_.push_back(step);
+    }
+  }
 
   Status Validate(const Schema& schema) const override {
     for (const auto& c : children_) SCIBORQ_RETURN_NOT_OK(c->Validate(schema));
     return Status::OK();
   }
 
-  Status Select(const Table& table, const SelectionVector& candidates,
-                SelectionVector* out) const override {
-    // Conjunction = successive narrowing of the candidate list.
-    SelectionVector current = candidates;
-    SelectionVector next;
-    for (const auto& c : children_) {
-      SCIBORQ_RETURN_NOT_OK(c->Select(table, current, &next));
-      current.swap(next);
+  Status Select(const Table& table, SelectionVector* rows) const override {
+    // Conjunction = successive in-place narrowing of the selection.
+    for (const Predicate* step : plan_) {
+      if (rows->empty()) break;
+      SCIBORQ_RETURN_NOT_OK(step->Select(table, rows));
     }
-    *out = std::move(current);
     return Status::OK();
   }
 
@@ -844,8 +966,8 @@ class AndPredicate final : public Predicate {
   MorselVerdict TestMorsel(const Table& table, int64_t begin,
                            int64_t end) const override {
     bool all_match = true;
-    for (const auto& c : children_) {
-      switch (c->TestMorsel(table, begin, end)) {
+    for (const Predicate* step : plan_) {
+      switch (step->TestMorsel(table, begin, end)) {
         case MorselVerdict::kSkipAll:
           return MorselVerdict::kSkipAll;  // one empty conjunct empties all
         case MorselVerdict::kScanRows:
@@ -864,9 +986,8 @@ class AndPredicate final : public Predicate {
     // Per-conjunct zone verdicts first: a skipping child empties the morsel
     // outright, a blanket-matching child cannot narrow it and is elided.
     bool first = true;
-    SelectionVector next;
-    for (const auto& c : children_) {
-      switch (c->TestMorsel(table, begin, end)) {
+    for (const Predicate* step : plan_) {
+      switch (step->TestMorsel(table, begin, end)) {
         case MorselVerdict::kSkipAll:
           out->clear();
           return Status::OK();
@@ -876,12 +997,12 @@ class AndPredicate final : public Predicate {
           break;
       }
       if (first) {
-        SCIBORQ_RETURN_NOT_OK(c->SelectRange(table, begin, end, out));
+        SCIBORQ_RETURN_NOT_OK(step->SelectRange(table, begin, end, out));
         first = false;
       } else {
-        SCIBORQ_RETURN_NOT_OK(c->Select(table, *out, &next));
-        out->swap(next);
+        SCIBORQ_RETURN_NOT_OK(step->Select(table, out));
       }
+      if (out->empty()) return Status::OK();
     }
     if (first) FillDense(begin, end, out);  // every conjunct blanket-matched
     return Status::OK();
@@ -931,6 +1052,8 @@ class AndPredicate final : public Predicate {
 
  private:
   std::vector<PredicatePtr> children_;
+  std::vector<PredicatePtr> folded_;  ///< the Betweens the plan folded
+  std::vector<const Predicate*> plan_;
 };
 
 class OrPredicate final : public Predicate {
@@ -943,13 +1066,8 @@ class OrPredicate final : public Predicate {
     return Status::OK();
   }
 
-  Status Select(const Table& table, const SelectionVector& candidates,
-                SelectionVector* out) const override {
-    out->clear();
-    SCIBORQ_RETURN_NOT_OK(Validate(table.schema()));
-    for (const int64_t row : candidates) {
-      if (Matches(table, row)) out->push_back(row);
-    }
+  Status Select(const Table& table, SelectionVector* rows) const override {
+    NarrowRows(rows, [&](int64_t row) { return Matches(table, row); });
     return Status::OK();
   }
 

@@ -40,19 +40,20 @@ enum class MorselVerdict {
   kMatchAll,  ///< every row in the range matches (nulls included)
 };
 
-/// A boolean filter over table rows. Implementations are vectorized: Select()
-/// intersects a candidate list in one pass, MonetDB-style. Predicates are
-/// immutable after construction and shared between base tables and
-/// impressions (identical schemas).
+/// A boolean filter over table rows. Implementations are vectorized:
+/// SelectRange() filters a row range and Select() narrows a selection in one
+/// pass each, MonetDB-style. Predicates are immutable after construction and
+/// shared between base tables and impressions (identical schemas).
 class Predicate {
  public:
   virtual ~Predicate() = default;
 
-  /// Narrows `candidates` to the rows satisfying the predicate, appending to
-  /// `out` (which is cleared first). Error when a referenced column is
-  /// missing or mistyped.
-  virtual Status Select(const Table& table, const SelectionVector& candidates,
-                        SelectionVector* out) const = 0;
+  /// Narrows `rows` in place to the rows satisfying the predicate, keeping
+  /// their order — the step a conjunction applies for every conjunct after
+  /// its first. Null-free numeric columns run the gather-filter kernels
+  /// (exec/kernels.h). Precondition: the schema was validated; a missing
+  /// column is still an error.
+  virtual Status Select(const Table& table, SelectionVector* rows) const = 0;
 
   /// Row-at-a-time evaluation for streaming paths. Precondition: the schema
   /// was validated by a prior Select or Validate call.
@@ -71,7 +72,7 @@ class Predicate {
 
   /// Selects the matching rows of the contiguous range [begin, end) into
   /// `out` (cleared first, emitted ascending) — the morsel scan path.
-  /// Equivalent to Select() over the dense candidate list, but overrides
+  /// Equivalent to Select() over the dense row range, but overrides
   /// run vectorized kernels (exec/kernels.h) or compressed-domain scans
   /// instead of materializing candidates. Precondition: the schema was
   /// validated (SelectAll validates once before fanning out).

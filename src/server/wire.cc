@@ -214,7 +214,8 @@ void EncodeResultRow(const QueryResultRow& row, WireWriter* w) {
 Result<QueryResultRow> DecodeResultRow(WireReader* r) {
   QueryResultRow row;
   SCIBORQ_ASSIGN_OR_RETURN(row.group_key, DecodeValue(r));
-  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t n, r->ReadU32());
+  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t n,
+                           r->ReadCount(8, "result value"));
   row.values.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     SCIBORQ_ASSIGN_OR_RETURN(const double v, r->ReadF64());
@@ -291,16 +292,20 @@ Result<QueryOutcome> DecodeOutcome(WireReader* r, uint8_t version) {
   SCIBORQ_ASSIGN_OR_RETURN(outcome.error_bound_met, r->ReadBool());
   SCIBORQ_ASSIGN_OR_RETURN(outcome.deadline_exceeded, r->ReadBool());
   SCIBORQ_ASSIGN_OR_RETURN(outcome.elapsed_seconds, r->ReadF64());
-  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t num_rows, r->ReadU32());
+  // Minimum encoded sizes: a row is a tag, a count and an i64 (13 bytes); an
+  // estimate 49; an attempt 38; a moments record 48; a span 20.
+  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t num_rows,
+                           r->ReadCount(13, "result row"));
   outcome.rows.reserve(num_rows);
   for (uint32_t i = 0; i < num_rows; ++i) {
     SCIBORQ_ASSIGN_OR_RETURN(QueryResultRow row, DecodeResultRow(r));
     outcome.rows.push_back(std::move(row));
   }
-  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t num_est_rows, r->ReadU32());
+  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t num_est_rows,
+                           r->ReadCount(4, "estimate row"));
   outcome.estimates.reserve(num_est_rows);
   for (uint32_t i = 0; i < num_est_rows; ++i) {
-    SCIBORQ_ASSIGN_OR_RETURN(const uint32_t n, r->ReadU32());
+    SCIBORQ_ASSIGN_OR_RETURN(const uint32_t n, r->ReadCount(49, "estimate"));
     std::vector<AggregateEstimate> row_ests;
     row_ests.reserve(n);
     for (uint32_t j = 0; j < n; ++j) {
@@ -309,7 +314,8 @@ Result<QueryOutcome> DecodeOutcome(WireReader* r, uint8_t version) {
     }
     outcome.estimates.push_back(std::move(row_ests));
   }
-  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t num_attempts, r->ReadU32());
+  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t num_attempts,
+                           r->ReadCount(38, "layer attempt"));
   outcome.attempts.reserve(num_attempts);
   for (uint32_t i = 0; i < num_attempts; ++i) {
     SCIBORQ_ASSIGN_OR_RETURN(LayerAttempt attempt, DecodeAttempt(r));
@@ -321,23 +327,11 @@ Result<QueryOutcome> DecodeOutcome(WireReader* r, uint8_t version) {
   outcome.shards_responded = static_cast<int>(responded);
   SCIBORQ_ASSIGN_OR_RETURN(const uint32_t total, r->ReadU32());
   outcome.shards_total = static_cast<int>(total);
-  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t num_partial_rows, r->ReadU32());
-  // Every row is at least its u32 count; reject hostile lengths before
-  // allocating, like DecodeParams.
-  if (static_cast<int64_t>(num_partial_rows) > r->remaining()) {
-    return Status::InvalidArgument(
-        StrFormat("wire: partials row count %u exceeds the %lld remaining "
-                  "bytes",
-                  num_partial_rows, static_cast<long long>(r->remaining())));
-  }
+  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t num_partial_rows,
+                           r->ReadCount(4, "partials row"));
   outcome.partials.reserve(num_partial_rows);
   for (uint32_t i = 0; i < num_partial_rows; ++i) {
-    SCIBORQ_ASSIGN_OR_RETURN(const uint32_t n, r->ReadU32());
-    if (static_cast<int64_t>(n) > r->remaining()) {
-      return Status::InvalidArgument(
-          StrFormat("wire: partials count %u exceeds the %lld remaining bytes",
-                    n, static_cast<long long>(r->remaining())));
-    }
+    SCIBORQ_ASSIGN_OR_RETURN(const uint32_t n, r->ReadCount(48, "partial"));
     std::vector<AggregateMoments> row_moments;
     row_moments.reserve(n);
     for (uint32_t j = 0; j < n; ++j) {
@@ -348,14 +342,8 @@ Result<QueryOutcome> DecodeOutcome(WireReader* r, uint8_t version) {
   }
   if (version < kWireVersionV4) return outcome;
   SCIBORQ_ASSIGN_OR_RETURN(outcome.query_id, r->ReadString());
-  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t num_spans, r->ReadU32());
-  // Every span is at least its name's u32 length; reject hostile counts
-  // before allocating, like DecodeParams.
-  if (static_cast<int64_t>(num_spans) > r->remaining()) {
-    return Status::InvalidArgument(
-        StrFormat("wire: span count %u exceeds the %lld remaining bytes",
-                  num_spans, static_cast<long long>(r->remaining())));
-  }
+  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t num_spans,
+                           r->ReadCount(20, "span"));
   outcome.spans.reserve(num_spans);
   for (uint32_t i = 0; i < num_spans; ++i) {
     SCIBORQ_ASSIGN_OR_RETURN(PhaseSpan span, DecodeSpan(r));
@@ -399,7 +387,9 @@ Result<TableInfo> DecodeTableInfo(WireReader* r, uint8_t version) {
   SCIBORQ_ASSIGN_OR_RETURN(info.name, r->ReadString());
   SCIBORQ_ASSIGN_OR_RETURN(info.rows, r->ReadI64());
   SCIBORQ_ASSIGN_OR_RETURN(info.schema, DecodeSchema(r));
-  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t num_layers, r->ReadU32());
+  // A layer or a storage record is two strings and two i64s: 24 bytes.
+  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t num_layers,
+                           r->ReadCount(24, "layer"));
   info.layers.reserve(num_layers);
   for (uint32_t i = 0; i < num_layers; ++i) {
     LayerSummary layer;
@@ -417,7 +407,8 @@ Result<TableInfo> DecodeTableInfo(WireReader* r, uint8_t version) {
     info.shards = static_cast<int>(shards);
   }
   if (version >= kWireVersionV5) {
-    SCIBORQ_ASSIGN_OR_RETURN(const uint32_t num_columns, r->ReadU32());
+    SCIBORQ_ASSIGN_OR_RETURN(const uint32_t num_columns,
+                             r->ReadCount(24, "storage column"));
     for (uint32_t i = 0; i < num_columns; ++i) {
       ColumnStorageInfo col;
       SCIBORQ_ASSIGN_OR_RETURN(col.column, r->ReadString());
@@ -438,14 +429,8 @@ void EncodeParams(const std::vector<Value>& params, WireWriter* w) {
 }
 
 Result<std::vector<Value>> DecodeParams(WireReader* r) {
-  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t n, r->ReadU32());
-  // Every encoded Value is at least its 1-byte tag, so a count beyond the
-  // remaining bytes is a hostile length — reject before allocating.
-  if (static_cast<int64_t>(n) > r->remaining()) {
-    return Status::InvalidArgument(
-        StrFormat("wire: parameter count %u exceeds the %lld remaining bytes",
-                  n, static_cast<long long>(r->remaining())));
-  }
+  // Every encoded Value is at least its 1-byte tag.
+  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t n, r->ReadCount(1, "parameter"));
   std::vector<Value> params;
   params.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -503,14 +488,8 @@ void EncodeStatSamples(const std::vector<obs::StatSample>& samples,
 }
 
 Result<std::vector<obs::StatSample>> DecodeStatSamples(WireReader* r) {
-  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t n, r->ReadU32());
-  // Every sample is at least its name's u32 length; reject hostile counts
-  // before allocating, like DecodeParams.
-  if (static_cast<int64_t>(n) > r->remaining()) {
-    return Status::InvalidArgument(
-        StrFormat("wire: sample count %u exceeds the %lld remaining bytes", n,
-                  static_cast<long long>(r->remaining())));
-  }
+  // A sample is two strings and a double: 16 bytes.
+  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t n, r->ReadCount(16, "stat sample"));
   std::vector<obs::StatSample> samples;
   samples.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -545,12 +524,9 @@ void EncodeSlowQueries(const std::vector<obs::SlowQueryEntry>& entries,
 }
 
 Result<std::vector<obs::SlowQueryEntry>> DecodeSlowQueries(WireReader* r) {
-  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t n, r->ReadU32());
-  if (static_cast<int64_t>(n) > r->remaining()) {
-    return Status::InvalidArgument(
-        StrFormat("wire: slow-log count %u exceeds the %lld remaining bytes",
-                  n, static_cast<long long>(r->remaining())));
-  }
+  // An entry is five strings, four doubles and three bools: 55 bytes.
+  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t n,
+                           r->ReadCount(55, "slow-log entry"));
   std::vector<obs::SlowQueryEntry> entries;
   entries.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {

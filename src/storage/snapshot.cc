@@ -61,8 +61,7 @@ template <typename T>
 Result<std::vector<T>> DecodeFixed64Vector(BinaryReader* r,
                                            const char* what) {
   static_assert(sizeof(T) == 8, "fixed 8-byte elements expected");
-  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t n, r->ReadU32());
-  SCIBORQ_RETURN_NOT_OK(CheckDecodeCount(n, 8, *r, what));
+  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t n, r->ReadCount(8, what));
   std::vector<T> out(n);
   if (kHostLittleEndian) {
     SCIBORQ_ASSIGN_OR_RETURN(const std::string_view raw,
@@ -259,7 +258,7 @@ Result<HierarchyState> DecodeHierarchyState(BinaryReader* r,
   SCIBORQ_ASSIGN_OR_RETURN(const uint32_t shards, r->ReadU32());
   // The smallest possible builder state is still dozens of bytes; 8 is a
   // safe lower bound for the count guard.
-  SCIBORQ_RETURN_NOT_OK(CheckDecodeCount(shards, 8, *r, "top builder"));
+  SCIBORQ_RETURN_NOT_OK(r->CheckCount(shards, 8, "top builder"));
   s.top.reserve(shards);
   for (uint32_t i = 0; i < shards; ++i) {
     SCIBORQ_ASSIGN_OR_RETURN(ImpressionBuilderState shard,
@@ -272,8 +271,8 @@ Result<HierarchyState> DecodeHierarchyState(BinaryReader* r,
                              DecodeImpressionState(r, version));
     s.merged_top = std::move(merged);
   }
-  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t derived, r->ReadU32());
-  SCIBORQ_RETURN_NOT_OK(CheckDecodeCount(derived, 8, *r, "derived layer"));
+  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t derived,
+                           r->ReadCount(8, "derived layer"));
   s.derived.reserve(derived);
   for (uint32_t i = 0; i < derived; ++i) {
     SCIBORQ_ASSIGN_OR_RETURN(ImpressionState layer,
@@ -323,16 +322,16 @@ Result<InterestTrackerState> DecodeTrackerState(BinaryReader* r) {
   SCIBORQ_ASSIGN_OR_RETURN(const uint8_t mode_tag, r->ReadU8());
   SCIBORQ_ASSIGN_OR_RETURN(s.mode, CombineModeFromTag(mode_tag));
   SCIBORQ_ASSIGN_OR_RETURN(s.observed_points, r->ReadI64());
-  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t attrs, r->ReadU32());
-  SCIBORQ_RETURN_NOT_OK(CheckDecodeCount(attrs, 8, *r, "tracked attribute"));
+  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t attrs,
+                           r->ReadCount(8, "tracked attribute"));
   s.attributes.reserve(attrs);
   for (uint32_t i = 0; i < attrs; ++i) {
     InterestTrackerState::Attribute attr;
     SCIBORQ_ASSIGN_OR_RETURN(attr.column, r->ReadString());
     SCIBORQ_ASSIGN_OR_RETURN(attr.hist.domain_min, r->ReadF64());
     SCIBORQ_ASSIGN_OR_RETURN(attr.hist.bin_width, r->ReadF64());
-    SCIBORQ_ASSIGN_OR_RETURN(const uint32_t bins, r->ReadU32());
-    SCIBORQ_RETURN_NOT_OK(CheckDecodeCount(bins, 16, *r, "histogram bin"));
+    SCIBORQ_ASSIGN_OR_RETURN(const uint32_t bins,
+                             r->ReadCount(16, "histogram bin"));
     attr.hist.bins.reserve(bins);
     for (uint32_t b = 0; b < bins; ++b) {
       StreamingHistogram::BinStats bin;
@@ -383,8 +382,8 @@ void EncodePersistedConfig(const PersistedTableConfig& c, BinaryWriter* w,
 Result<PersistedTableConfig> DecodePersistedConfig(BinaryReader* r,
                                                    bool with_retention) {
   PersistedTableConfig c;
-  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t layers, r->ReadU32());
-  SCIBORQ_RETURN_NOT_OK(CheckDecodeCount(layers, 12, *r, "layer spec"));
+  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t layers,
+                           r->ReadCount(12, "layer spec"));
   c.layers.reserve(layers);
   for (uint32_t i = 0; i < layers; ++i) {
     ImpressionHierarchy::LayerSpec spec;
@@ -392,8 +391,8 @@ Result<PersistedTableConfig> DecodePersistedConfig(BinaryReader* r,
     SCIBORQ_ASSIGN_OR_RETURN(spec.capacity, r->ReadI64());
     c.layers.push_back(std::move(spec));
   }
-  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t attrs, r->ReadU32());
-  SCIBORQ_RETURN_NOT_OK(CheckDecodeCount(attrs, 24, *r, "tracked attribute spec"));
+  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t attrs,
+                           r->ReadCount(24, "tracked attribute spec"));
   c.tracked_attributes.reserve(attrs);
   for (uint32_t i = 0; i < attrs; ++i) {
     InterestTracker::AttributeSpec spec;
@@ -472,8 +471,8 @@ Result<TableSnapshot> DecodeTableSnapshot(BinaryReader* r,
     snap.tracker = std::move(tracker);
   }
   SCIBORQ_ASSIGN_OR_RETURN(snap.log.total_recorded, r->ReadI64());
-  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t entries, r->ReadU32());
-  SCIBORQ_RETURN_NOT_OK(CheckDecodeCount(entries, 12, *r, "query log entry"));
+  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t entries,
+                           r->ReadCount(12, "query log entry"));
   snap.log.entries.reserve(entries);
   for (uint32_t i = 0; i < entries; ++i) {
     PersistedQueryLog::Entry entry;

@@ -118,6 +118,29 @@ Result<std::string_view> BinaryReader::ReadRaw(size_t n) {
   return out;
 }
 
+Result<uint32_t> BinaryReader::ReadCount(int64_t min_bytes_each,
+                                         const char* what) {
+  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t count, ReadU32());
+  SCIBORQ_RETURN_NOT_OK(CheckCount(count, min_bytes_each, what));
+  return count;
+}
+
+Status BinaryReader::CheckCount(int64_t count, int64_t min_bytes_each,
+                                const char* what) const {
+  if (count < 0) {
+    return Status::InvalidArgument(StrFormat(
+        "decode: negative %s count %lld", what, static_cast<long long>(count)));
+  }
+  if (min_bytes_each > 0 && count > remaining() / min_bytes_each) {
+    return Status::InvalidArgument(StrFormat(
+        "decode: %s count %lld exceeds what the %lld remaining bytes could "
+        "hold",
+        what, static_cast<long long>(count),
+        static_cast<long long>(remaining())));
+  }
+  return Status::OK();
+}
+
 Status BinaryReader::ExpectEnd() const {
   if (remaining() != 0) {
     return Status::InvalidArgument(

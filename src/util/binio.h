@@ -64,6 +64,18 @@ class BinaryReader {
   /// valid while the underlying buffer lives.
   Result<std::string_view> ReadRaw(size_t n);
 
+  /// Reads a u32 element count and rejects it unless the remaining bytes
+  /// could hold that many elements of at least `min_bytes_each` bytes — the
+  /// guard before reserving storage for a count a peer or a file supplies,
+  /// so a hostile count fails as InvalidArgument instead of allocating.
+  /// `what` names the element in the error.
+  Result<uint32_t> ReadCount(int64_t min_bytes_each, const char* what);
+  /// The ReadCount check for a count obtained some other way (a wider or
+  /// derived count). Also rejects negative counts; `min_bytes_each` 0 checks
+  /// only the sign.
+  Status CheckCount(int64_t count, int64_t min_bytes_each,
+                    const char* what) const;
+
   int64_t remaining() const {
     return static_cast<int64_t>(data_.size() - pos_);
   }

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include "util/rng.h"
 
@@ -104,6 +106,105 @@ TEST(ImpressionTest, CloneIsIndependent) {
   imp.ReplaceSampledRow(0, batch, 2, 1.0, 2);
   EXPECT_NE(copy.rows().GetCell(0, "objid").value().int64(),
             imp.rows().GetCell(0, "objid").value().int64());
+}
+
+/// The cached vector must equal InclusionProbability(r) bit for bit for
+/// every stored row.
+void ExpectCacheFresh(const Impression& imp) {
+  const std::shared_ptr<const std::vector<double>> probs =
+      imp.InclusionProbabilities();
+  ASSERT_EQ(static_cast<int64_t>(probs->size()), imp.size());
+  for (int64_t r = 0; r < imp.size(); ++r) {
+    EXPECT_EQ((*probs)[static_cast<size_t>(r)], imp.InclusionProbability(r))
+        << "row " << r;
+  }
+}
+
+/// Fills the cache, applies `mutate`, and checks the cache followed it. The
+/// mutation must move row `row`'s probability, or a stale cache would pass.
+template <typename Mutate>
+void ExpectMutationRefreshes(Impression* imp, int64_t row, Mutate mutate) {
+  ExpectCacheFresh(*imp);
+  const double before = imp->InclusionProbability(row);
+  mutate(imp);
+  EXPECT_NE(imp->InclusionProbability(row), before);
+  ExpectCacheFresh(*imp);
+}
+
+TEST(ImpressionTest, ProbabilityCacheFollowsUniformMutations) {
+  SkyStream stream(StreamConfig(), 6);
+  const Table batch = stream.NextBatch(8);
+  Impression imp("t", PhotoObjSchema(), 4, SamplingPolicy::kUniform);
+  for (int64_t i = 0; i < 3; ++i) imp.AppendSampledRow(batch, i, 1.0, i);
+  imp.set_population_seen(10);
+  ExpectMutationRefreshes(&imp, 0, [](Impression* m) {
+    m->set_population_seen(40);
+  });
+  ExpectMutationRefreshes(&imp, 0, [&batch](Impression* m) {
+    m->AppendSampledRow(batch, 3, 1.0, 3);  // n/cnt grows with n
+  });
+  ExpectMutationRefreshes(&imp, 1, [](Impression* m) {
+    ASSERT_TRUE(m->SetExplicitInclusionProbabilities({0.5, 0.25, 0.125, 1.0})
+                    .ok());
+  });
+  // Copies and assignments start from their own state, never a stale cache.
+  Impression copy = imp.Clone("copy");
+  ExpectCacheFresh(copy);
+  Impression assigned("other", PhotoObjSchema(), 4, SamplingPolicy::kUniform);
+  ExpectCacheFresh(assigned);
+  assigned = copy;
+  ExpectCacheFresh(assigned);
+}
+
+TEST(ImpressionTest, ProbabilityCacheFollowsBiasedMutations) {
+  SkyStream stream(StreamConfig(), 7);
+  const Table batch = stream.NextBatch(8);
+  Impression imp("t", PhotoObjSchema(), 3, SamplingPolicy::kBiased);
+  imp.AppendSampledRow(batch, 0, 4.0, 0);
+  imp.AppendSampledRow(batch, 1, 1.0, 1);
+  imp.set_population_seen(100);
+  imp.set_population_weight(50.0);
+  // Without an acceptance model: the Σw surrogate.
+  ExpectMutationRefreshes(&imp, 1, [](Impression* m) {
+    m->set_population_weight(80.0);
+  });
+  ExpectMutationRefreshes(&imp, 1, [&batch](Impression* m) {
+    m->ReplaceSampledRow(1, batch, 5, 2.0, 60);
+  });
+  ExpectMutationRefreshes(&imp, 0, [&batch](Impression* m) {
+    m->AppendSampledRow(batch, 2, 1.0, 70);
+  });
+  // With the acceptance model: the retention estimate moves with the curve,
+  // the arrival positions and the population.
+  ExpectMutationRefreshes(&imp, 2, [](Impression* m) {
+    m->set_acceptance_model({2, 5, 9}, 20, 12);
+  });
+  ExpectMutationRefreshes(&imp, 2, [](Impression* m) {
+    m->set_acceptance_model({2, 5, 9}, 20, 30);
+  });
+  ExpectMutationRefreshes(&imp, 1, [&batch](Impression* m) {
+    m->ReplaceSampledRow(1, batch, 6, 3.0, 20);
+  });
+  ExpectMutationRefreshes(&imp, 2, [](Impression* m) {
+    m->set_population_seen(400);
+  });
+}
+
+TEST(ImpressionTest, ProbabilityCacheFollowsLastSeenMutations) {
+  SkyStream stream(StreamConfig(), 8);
+  const Table batch = stream.NextBatch(4);
+  Impression imp("t", PhotoObjSchema(), 4, SamplingPolicy::kLastSeen);
+  for (int64_t i = 0; i < 4; ++i) imp.AppendSampledRow(batch, i, 1.0, i);
+  imp.set_population_seen(1000);
+  ExpectMutationRefreshes(&imp, 0, [](Impression* m) {
+    m->set_last_seen_params(2, 100);  // window n*D/k = 200
+  });
+  ExpectMutationRefreshes(&imp, 0, [](Impression* m) {
+    m->set_last_seen_params(4, 100);  // window 100
+  });
+  ExpectMutationRefreshes(&imp, 0, [](Impression* m) {
+    m->set_population_seen(50);  // below the window
+  });
 }
 
 // ------------------------------------------------------------- Builder ----

@@ -11,6 +11,11 @@
 //     produce the correct answer or fail NotFound — never crash, never
 //     return a torn statement — because FindStatement hands Execute a
 //     shared_ptr that keeps the template alive across a concurrent close.
+//
+//  3. Bounded queries vs IngestBatch on one table. Concurrent readers fill
+//     each impression's inclusion-probability cache lazily while ingest
+//     invalidates it; afterwards the engine must answer exactly like a
+//     reopened copy whose caches start empty.
 
 #include <gtest/gtest.h>
 
@@ -176,6 +181,67 @@ TEST(RaceTest, ExecuteVsCloseStatement) {
     // The close won exactly once; nothing leaked.
     EXPECT_EQ(engine.CloseStatement(handle).code(), StatusCode::kNotFound);
     EXPECT_EQ(engine.open_statements(), 0);
+  }
+}
+
+/// Bounded queries answered from the impressions race IngestBatch. Readers
+/// share the data lock, so two of them can reach an empty probability cache
+/// at once; ingest drops the caches under the exclusive lock. A stale cache
+/// would survive into the final answers, which must equal those of a
+/// reopened engine built from the same state with empty caches.
+TEST(RaceTest, BoundedQueriesVsIngest) {
+  constexpr int64_t kInitialRows = 3'000;
+  constexpr int64_t kBatchRows = 500;
+  constexpr int kBatches = 8;
+  const std::vector<std::string> queries = {
+      "SELECT COUNT(*), AVG(r) FROM sky WHERE ra >= 100 AND ra <= 200 "
+      "ERROR 50%",
+      "SELECT COUNT(*), SUM(r) FROM sky WHERE ra >= 110 AND ra <= 130 AND "
+      "dec >= -10 AND dec <= 10 ERROR 50%",
+      "SELECT AVG(r) FROM sky ERROR 50%"};
+
+  TempDir dir;
+  std::unique_ptr<Engine> engine = Engine::Open(dir.path).value();
+  const Table all = SkyRows(kInitialRows + kBatches * kBatchRows, 13);
+  ASSERT_TRUE(engine->CreateTable("sky", all.schema(), SmallBiased()).ok());
+  ASSERT_TRUE(
+      engine->IngestBatch("sky", SliceRows(all, 0, kInitialRows)).ok());
+
+  std::thread ingester([&] {
+    for (int b = 0; b < kBatches; ++b) {
+      const int64_t begin = kInitialRows + b * kBatchRows;
+      const Status st =
+          engine->IngestBatch("sky", SliceRows(all, begin, begin + kBatchRows));
+      EXPECT_TRUE(st.ok()) << st.ToString();
+    }
+  });
+  std::vector<std::thread> queriers;
+  for (int t = 0; t < 3; ++t) {
+    queriers.emplace_back([&, t] {
+      for (int i = 0; i < 30; ++i) {
+        const std::string& sql = queries[static_cast<size_t>(t + i) % 3];
+        const Result<QueryOutcome> outcome = engine->Query(sql);
+        ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+        EXPECT_FALSE(outcome.value().rows.empty());
+      }
+    });
+  }
+  ingester.join();
+  for (auto& q : queriers) q.join();
+
+  std::vector<QueryOutcome> before;
+  before.reserve(queries.size());
+  for (const std::string& sql : queries) {
+    before.push_back(engine->Query(sql).value());
+  }
+  ASSERT_TRUE(engine->Checkpoint("sky").ok());
+  engine.reset();
+  std::unique_ptr<Engine> reopened = Engine::Open(dir.path).value();
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const QueryOutcome after = reopened->Query(queries[q]).value();
+    EXPECT_TRUE(EquivalentAnswers(before[q], after))
+        << "before: " << before[q].ToString()
+        << "\nafter: " << after.ToString();
   }
 }
 
