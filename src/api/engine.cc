@@ -548,13 +548,11 @@ Result<bool> Engine::ApplyRetention(TableEntry* entry)
 Status Engine::PublishTable(std::unique_ptr<TableEntry> entry,
                             const Table* initial_batch) {
   TableEntry* raw = entry.get();
-  // The fresh entry's data_mu is taken before catalog_mu_ — the only place
-  // both are ever held at once. The entry is unpublished, so its lock is
-  // uncontended and no path can form a cycle against the usual
-  // catalog-then-data sequence (FindTable releases catalog_mu_ before any
-  // data lock is taken).
-  WriterMutexLock data_lock(&raw->data_mu);
+  // Catalog first, then the fresh entry's data_mu: the same order DropTable
+  // uses, so the lock-order graph has no cycle. The entry is unpublished,
+  // so its lock is uncontended.
   WriterMutexLock catalog_lock(&catalog_mu_);
+  WriterMutexLock data_lock(&raw->data_mu);
   if (tables_.find(raw->name) != tables_.end()) {
     return Status::AlreadyExists(
         StrFormat("table '%s' is already registered", raw->name.c_str()));
@@ -692,10 +690,8 @@ Status Engine::DropTable(const std::string& table) {
   // Exclude a concurrent checkpoint and any in-flight ingest before the
   // files go: once both locks are held nothing can write the table's files
   // again, so a checkpoint can never resurrect the snapshot afterwards
-  // (its later WriteCheckpoint fails on the closed WAL instead). Holding
-  // catalog_mu_ across these entry locks cannot deadlock against
-  // PublishTable's data->catalog order because PublishTable only ever locks
-  // an *unpublished* (uncontended) entry.
+  // (its later WriteCheckpoint fails on the closed WAL instead). Catalog
+  // then entry locks: the order PublishTable uses too.
   MutexLock checkpoint_lock(&entry->checkpoint_mu);
   WriterMutexLock data_lock(&entry->data_mu);
   if (store_) SCIBORQ_RETURN_NOT_OK(store_->DropTable(table));

@@ -165,8 +165,7 @@ struct TableInfo {
   bool biased = false;          ///< interest-tracked (workload-biased) sampling
   int64_t logged_queries = 0;   ///< log entries currently held in the window
   int shards = 0;  ///< shard servers behind a coordinator (0 = local table)
-  /// Per-column physical storage, one entry per schema field (v5 catalog;
-  /// empty when reported by a pre-v5 peer).
+  /// Per-column physical storage, one entry per schema field.
   std::vector<ColumnStorageInfo> storage;
 
   std::string ToString() const;

@@ -54,7 +54,7 @@ class Session {
   /// where the text leaves them out.
   Result<QueryOutcome> Query(std::string_view sql);
 
-  /// Same, with per-call execution options (the server's v3 kQuery path
+  /// Same, with per-call execution options (the server's kQuery path
   /// passes the peer's mergeable flag through here).
   Result<QueryOutcome> Query(std::string_view sql,
                              const QueryExecOptions& exec);

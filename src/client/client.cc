@@ -17,14 +17,11 @@ Result<SciborqClient> SciborqClient::Connect(const std::string& host, int port,
 }
 
 Result<std::string> SciborqClient::RoundTrip(Opcode op,
-                                             std::string_view payload,
-                                             uint8_t version,
-                                             uint8_t* response_version) {
+                                             std::string_view payload) {
   if (!conn_.valid()) {
     return Status::FailedPrecondition("client is not connected");
   }
-  if (Status st = conn_.SendFrame(EncodeRequest(op, payload, version));
-      !st.ok()) {
+  if (Status st = conn_.SendFrame(EncodeRequest(op, payload)); !st.ok()) {
     conn_.Close();
     return st;
   }
@@ -61,7 +58,6 @@ Result<std::string> SciborqClient::RoundTrip(Opcode op,
         static_cast<unsigned>(response.opcode), static_cast<unsigned>(op)));
   }
   if (!response.status.ok()) return response.status;
-  if (response_version != nullptr) *response_version = response.version;
   return std::move(response.payload);
 }
 
@@ -72,12 +68,10 @@ Result<QueryOutcome> SciborqClient::QueryWithFlags(std::string_view sql,
   w.PutString(sql);
   w.PutU8(flags);
   w.PutString(query_id);
-  uint8_t version = kWireVersionV1;
-  SCIBORQ_ASSIGN_OR_RETURN(
-      const std::string payload,
-      RoundTrip(Opcode::kQuery, w.buffer(), kWireVersionV4, &version));
+  SCIBORQ_ASSIGN_OR_RETURN(const std::string payload,
+                           RoundTrip(Opcode::kQuery, w.buffer()));
   WireReader r(payload);
-  SCIBORQ_ASSIGN_OR_RETURN(QueryOutcome outcome, DecodeOutcome(&r, version));
+  SCIBORQ_ASSIGN_OR_RETURN(QueryOutcome outcome, DecodeOutcome(&r));
   SCIBORQ_RETURN_NOT_OK(r.ExpectEnd());
   return outcome;
 }
@@ -107,12 +101,10 @@ Result<QueryOutcome> SciborqClient::Execute(StatementHandle handle,
   WireWriter w;
   w.PutI64(handle.id);
   EncodeParams(params, &w);
-  uint8_t version = kWireVersionV1;
-  SCIBORQ_ASSIGN_OR_RETURN(
-      const std::string payload,
-      RoundTrip(Opcode::kExecute, w.buffer(), kWireVersionV3, &version));
+  SCIBORQ_ASSIGN_OR_RETURN(const std::string payload,
+                           RoundTrip(Opcode::kExecute, w.buffer()));
   WireReader r(payload);
-  SCIBORQ_ASSIGN_OR_RETURN(QueryOutcome outcome, DecodeOutcome(&r, version));
+  SCIBORQ_ASSIGN_OR_RETURN(QueryOutcome outcome, DecodeOutcome(&r));
   SCIBORQ_RETURN_NOT_OK(r.ExpectEnd());
   return outcome;
 }
@@ -136,17 +128,15 @@ Status SciborqClient::SetDefaultBounds(const QueryBounds& bounds) {
 }
 
 Result<std::vector<TableInfo>> SciborqClient::ListTables() {
-  uint8_t version = kWireVersionV1;
-  SCIBORQ_ASSIGN_OR_RETURN(
-      const std::string payload,
-      RoundTrip(Opcode::kCatalog, "", kWireVersionV5, &version));
+  SCIBORQ_ASSIGN_OR_RETURN(const std::string payload,
+                           RoundTrip(Opcode::kCatalog, ""));
   WireReader r(payload);
   // A TableInfo is at least its name, counts and flags: 37 bytes.
   SCIBORQ_ASSIGN_OR_RETURN(const uint32_t n, r.ReadCount(37, "table"));
   std::vector<TableInfo> tables;
   tables.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
-    SCIBORQ_ASSIGN_OR_RETURN(TableInfo info, DecodeTableInfo(&r, version));
+    SCIBORQ_ASSIGN_OR_RETURN(TableInfo info, DecodeTableInfo(&r));
     tables.push_back(std::move(info));
   }
   SCIBORQ_RETURN_NOT_OK(r.ExpectEnd());
@@ -155,11 +145,7 @@ Result<std::vector<TableInfo>> SciborqClient::ListTables() {
 
 Status SciborqClient::CreateTable(const std::string& name, const Schema& schema,
                                   uint64_t seed) {
-  WireWriter w;
-  w.PutString(name);
-  EncodeSchema(schema, &w);
-  w.PutU64(seed);
-  return RoundTrip(Opcode::kCreateTable, w.buffer()).status();
+  return CreateTable(name, schema, RetentionPolicy(), seed);
 }
 
 Status SciborqClient::CreateTable(const std::string& name, const Schema& schema,
@@ -170,9 +156,7 @@ Status SciborqClient::CreateTable(const std::string& name, const Schema& schema,
   EncodeSchema(schema, &w);
   w.PutU64(seed);
   EncodeRetentionPolicy(retention, &w);
-  // Stamped v6 so the server reads the retention block; the plain overload
-  // keeps its default (v3) stamp and pre-retention byte layout.
-  return RoundTrip(Opcode::kCreateTable, w.buffer(), kWireVersionV6).status();
+  return RoundTrip(Opcode::kCreateTable, w.buffer()).status();
 }
 
 Status SciborqClient::DropTable(const std::string& table) {

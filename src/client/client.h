@@ -49,9 +49,9 @@ class SciborqClient {
   Result<QueryOutcome> Query(std::string_view sql);
 
   /// Like Query, but asks the server to ship the Welford partials behind an
-  /// exact answer (v3 mergeable flag) so the caller can compose this
+  /// exact answer (the mergeable flag) so the caller can compose this
   /// shard's outcome with others bit-exactly. Coordinator fan-out path.
-  /// `query_id`, when given, is carried into the shard's outcome (v4) so a
+  /// `query_id`, when given, is carried into the shard's outcome so a
   /// coordinator can stitch per-shard traces under one id.
   Result<QueryOutcome> QueryMergeable(std::string_view sql,
                                       std::string_view query_id = {});
@@ -87,36 +87,36 @@ class SciborqClient {
   Result<int64_t> Checkpoint(const std::string& table = "");
 
   /// Registers an empty table on the server with the given sampler seed
-  /// (v3; the coordinator derives a distinct seed per shard).
+  /// (the coordinator derives a distinct seed per shard).
   Status CreateTable(const std::string& name, const Schema& schema,
                      uint64_t seed = 42);
 
-  /// Registers a *windowed* table: the retention policy travels in the v6
-  /// kCreateTable block, so the server builds time-bucket strata, ages rows
-  /// out behind the sliding window, and answers LAST(...) BY ... natively.
-  /// A disabled policy behaves exactly like the plain overload (minus the
-  /// wire stamp). Requires a v6 server.
+  /// Registers a *windowed* table: the retention policy travels in the
+  /// kCreateTable retention block, so the server builds time-bucket strata,
+  /// ages rows out behind the sliding window, and answers LAST(...) BY ...
+  /// natively. A disabled policy is exactly the plain overload. A
+  /// coordinator refuses enabled policies (LAST does not merge across
+  /// shards).
   Status CreateTable(const std::string& name, const Schema& schema,
                      const RetentionPolicy& retention, uint64_t seed = 42);
 
   /// Permanently removes `table` from the server: catalog entry, snapshot,
-  /// and WAL segments (v6). NotFound when no such table exists.
+  /// and WAL segments. NotFound when no such table exists.
   Status DropTable(const std::string& table);
 
-  /// Ships one batch into `table` (v3); returns the rows the server
-  /// ingested.
+  /// Ships one batch into `table`; returns the rows the server ingested.
   Result<int64_t> Ingest(const std::string& table, const Table& batch);
 
   /// Round-trip liveness check.
   Status Ping();
 
-  /// Snapshot of the server's metrics registry (v4 stats opcode): every
+  /// Snapshot of the server's metrics registry (stats opcode): every
   /// counter/gauge/histogram series flattened into named samples — what
   /// `sciborq_cli \stats` renders.
   Result<std::vector<obs::StatSample>> ServerStats();
 
-  /// The server's bound-miss/slow-query ring buffer, oldest first (v4
-  /// slow_log opcode) — what `sciborq_cli \slow` renders.
+  /// The server's bound-miss/slow-query ring buffer, oldest first (slow_log
+  /// opcode) — what `sciborq_cli \slow` renders.
   Result<std::vector<obs::SlowQueryEntry>> SlowQueries();
 
   /// Re-arms the response deadline on the live connection (0 = no deadline).
@@ -133,15 +133,11 @@ class SciborqClient {
 
   /// Sends one request frame and decodes the response envelope: checks the
   /// version, the echoed opcode, and the embedded status; returns the
-  /// payload bytes on success. `version` 0 = the opcode's default stamp;
-  /// `response_version`, when non-null, receives the version the server
-  /// stamped (drives version-gated payload decoding).
-  Result<std::string> RoundTrip(Opcode op, std::string_view payload,
-                                uint8_t version = 0,
-                                uint8_t* response_version = nullptr);
+  /// payload bytes on success.
+  Result<std::string> RoundTrip(Opcode op, std::string_view payload);
 
-  /// Query with an explicit v3 flags byte (bit 0 = mergeable) and a v4
-  /// query id (empty = server assigns).
+  /// Query with an explicit flags byte (bit 0 = mergeable) and a query id
+  /// (empty = server assigns).
   Result<QueryOutcome> QueryWithFlags(std::string_view sql, uint8_t flags,
                                       std::string_view query_id);
 

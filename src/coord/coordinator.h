@@ -1,13 +1,9 @@
 #ifndef SCIBORQ_COORD_COORDINATOR_H_
 #define SCIBORQ_COORD_COORDINATOR_H_
 
-#include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -17,7 +13,7 @@
 #include "exec/query.h"
 #include "obs/metrics.h"
 #include "obs/slowlog.h"
-#include "server/socket.h"
+#include "server/service.h"
 #include "server/wire.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
@@ -57,9 +53,11 @@ struct CoordinatorOptions {
 /// instead of failing or hanging it. Ingest routes rows contiguously across
 /// a table's shards with per-shard derived sampler seeds.
 ///
-/// The same operations are callable in-process (Query, RegisterCsv, ...) —
-/// the admin face the coordinator tool and benches use. These are
-/// serialized internally; wire connections each get their own state.
+/// The wire face runs on the shared WireService (server/service.h), the
+/// connection loop and request dispatcher SciborqServer uses too. The same
+/// operations are callable in-process (Query, RegisterCsv, ...) — the admin
+/// face the coordinator tool and benches use. These are serialized
+/// internally; wire connections each get their own state.
 class SciborqCoordinator {
  public:
   SciborqCoordinator(ShardMap shards,
@@ -76,8 +74,8 @@ class SciborqCoordinator {
   /// Graceful shutdown, mirroring SciborqServer::Stop(). Idempotent.
   void Stop();
 
-  int port() const { return port_; }
-  bool running() const { return started_.load() && !stopping_.load(); }
+  int port() const { return service_.port(); }
+  bool running() const { return service_.running(); }
 
   const ShardMap& shard_map() const { return shards_; }
 
@@ -106,10 +104,10 @@ class SciborqCoordinator {
   // Thin reads of this instance's registry counters (each coordinator gets
   // its own `instance`-labeled series; see obs/metrics.h).
   int64_t connections_accepted() const {
-    return metrics_.connections_accepted->Value();
+    return service_.connections_accepted();
   }
   int64_t queries_served() const { return metrics_.queries_served->Value(); }
-  int64_t protocol_errors() const { return metrics_.protocol_errors->Value(); }
+  int64_t protocol_errors() const { return service_.protocol_errors(); }
   int64_t partial_answers() const { return metrics_.partial_answers->Value(); }
   int64_t deadlines_exceeded() const {
     return metrics_.deadline_exceeded->Value();
@@ -122,94 +120,24 @@ class SciborqCoordinator {
   }
 
  private:
-  /// One shard client slot; owned by a session, touched by exactly one
-  /// fan-out task at a time.
-  struct ClientSlot {
-    std::optional<SciborqClient> client;
-  };
-
-  /// Per-connection (or admin) state: default table/bounds, lazily
-  /// connected per-shard clients, locally prepared statements.
-  struct CoordSession {
-    std::string table;
-    QueryBounds bounds;
-    std::unordered_map<std::string, std::unique_ptr<ClientSlot>> clients;
-    std::map<int64_t, PreparedQuery> statements;
-    int64_t next_stmt = 1;
-  };
-
-  /// The split budget for one fan-out.
-  struct BudgetSplit {
-    double shard_budget_ms = 0.0;  ///< <= 0: unlimited (WITHIN not given)
-    int recv_timeout_ms = 0;       ///< response deadline per round trip
-  };
-  BudgetSplit SplitBudget(double client_budget_ms) const;
-
-  void AcceptLoop();
-  void HandleConnection(std::shared_ptr<TcpConn> conn);
-  std::string HandleRequest(const RequestFrame& request,
-                            CoordSession* session);
-
-  /// The session's client slot for `endpoint`, created (disconnected) on
-  /// first use.
-  ClientSlot* SlotFor(CoordSession* session, const ShardEndpoint& endpoint);
-
-  /// Connects the slot if needed and re-arms its response deadline.
-  Status EnsureConnected(ClientSlot* slot, const ShardEndpoint& endpoint,
-                         int recv_timeout_ms);
-
-  /// Fans `bounded` out over its table's shards and merges. The session
-  /// provides the per-shard connections. `query_id` (empty = the
-  /// coordinator assigns one) is propagated to every shard and stamped on
-  /// the merged outcome, whose spans stitch the coordinator's own phases
-  /// (plan/fanout/merge) with each shard's spans under `shardN/` prefixes.
-  Result<QueryOutcome> DistributedQuery(CoordSession* session,
-                                        const BoundedQuery& bounded,
-                                        std::string query_id = {});
-
-  /// Fills the session's default table/bounds into a parsed query, exactly
-  /// like api/Session does for a single node.
-  Status FillSessionDefaults(const CoordSession& session,
-                             BoundedQuery* bounded) const;
-
-  /// Fans ListTables over every endpoint the session can reach.
-  Result<std::vector<TableInfo>> FanOutCatalog(CoordSession* session);
-
-  Status CreateTableOn(CoordSession* session, const std::string& name,
-                       const Schema& schema, uint64_t seed);
-  Result<int64_t> IngestOn(CoordSession* session, const std::string& table,
-                           const Table& batch);
+  /// One wire connection's (or the admin face's) fan-out backend: default
+  /// table/bounds, lazily connected per-shard clients, locally prepared
+  /// statements, and the fan-out/merge logic (defined in coordinator.cc).
+  class CoordSession;
 
   ShardMap shards_;
   CoordinatorOptions options_;
-  int port_ = -1;
 
   /// Fan-out workers: sized to the widest shard list so one query's round
   /// trips all run concurrently.
   std::unique_ptr<ThreadPool> fanout_pool_;
 
-  /// The admin face's session (in-process Query/ingest calls), serialized.
-  Mutex admin_mu_;
-  CoordSession admin_session_ GUARDED_BY(admin_mu_);
-
-  std::optional<TcpListener> listener_;
-  std::unique_ptr<ThreadPool> handler_pool_;
-  std::thread accept_thread_;
-  std::atomic<bool> started_{false};
-  std::atomic<bool> stopping_{false};
-
-  Mutex conns_mu_;
-  std::unordered_map<int64_t, TcpConn*> active_conns_ GUARDED_BY(conns_mu_);
-  int64_t next_conn_id_ GUARDED_BY(conns_mu_) = 0;
-
-  /// This instance's series in the process registry (obs/metrics.h),
-  /// resolved once in the constructor. Pointees are internally atomic;
-  /// shard_rtt is keyed by endpoint ("host:port") and immutable after
-  /// construction, so fan-out tasks read it lock-free.
+  /// This instance's fan-out series in the process registry
+  /// (obs/metrics.h), resolved once in the constructor. Pointees are
+  /// internally atomic; shard_rtt is keyed by endpoint ("host:port") and
+  /// immutable after construction, so fan-out tasks read it lock-free.
   struct Metrics {
-    obs::Counter* connections_accepted = nullptr;
     obs::Counter* queries_served = nullptr;
-    obs::Counter* protocol_errors = nullptr;
     obs::Counter* partial_answers = nullptr;
     obs::Counter* deadline_exceeded = nullptr;
     obs::Counter* shard_errors = nullptr;
@@ -220,6 +148,14 @@ class SciborqCoordinator {
 
   /// Merged outcomes that missed a bound or degraded (PARTIAL / deadline).
   obs::SlowQueryLog slow_log_;
+
+  /// The admin face's session (in-process Query/ingest calls), serialized.
+  Mutex admin_mu_;
+  std::unique_ptr<CoordSession> admin_session_ GUARDED_BY(admin_mu_);
+
+  /// Declared last: destroyed first, so no handler outlives the members
+  /// its sessions use.
+  WireService service_;
 };
 
 }  // namespace sciborq

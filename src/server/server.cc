@@ -1,35 +1,106 @@
 #include "server/server.h"
 
-#include <algorithm>
-#include <chrono>
-#include <utility>
+#include <memory>
 
 #include "api/session.h"
-#include "util/stopwatch.h"
-#include "util/string_util.h"
 
 namespace sciborq {
 
-namespace {
+/// One connection's engine backend: session state (default table, bounds,
+/// prepared statements) in an api/Session, engine-wide operations straight
+/// into the Engine.
+class SciborqServer::EngineSession final : public WireSession {
+ public:
+  explicit EngineSession(SciborqServer* server)
+      : server_(server), engine_(server->engine_), session_(engine_) {}
 
-/// Distinct `instance` label per server object, so several servers in one
-/// process (the test and coordinator shapes) keep exact per-instance series.
-std::string NextServerInstance() {
-  static std::atomic<int64_t> next{0};
-  return StrFormat("server-%lld", static_cast<long long>(next.fetch_add(
-                                      1, std::memory_order_relaxed)));
-}
+  Result<QueryOutcome> Query(const std::string& sql,
+                             const QueryExecOptions& exec) override {
+    server_->metrics_.queries_served->Inc();
+    return session_.Query(sql, exec);
+  }
 
-}  // namespace
+  Status Use(const std::string& table) override { return session_.Use(table); }
+
+  Status SetBounds(const QueryBounds& bounds) override {
+    session_.set_default_bounds(bounds);
+    return Status::OK();
+  }
+
+  Result<std::vector<TableInfo>> Catalog() override {
+    return engine_->ListTables();
+  }
+
+  Result<StatementInfo> Prepare(const std::string& sql) override {
+    SCIBORQ_ASSIGN_OR_RETURN(StatementInfo info, session_.Prepare(sql));
+    server_->metrics_.statements_prepared->Inc();
+    return info;
+  }
+
+  Result<QueryOutcome> Execute(StatementHandle handle,
+                               const std::vector<Value>& params) override {
+    server_->metrics_.queries_served->Inc();
+    return session_.Execute(handle, params);
+  }
+
+  Status CloseStatement(StatementHandle handle) override {
+    return session_.CloseStatement(handle);
+  }
+
+  Result<int64_t> Checkpoint(const std::string& table) override {
+    // Engine-wide state, not session state. FailedPrecondition travels back
+    // code-intact when the server runs without --db-dir.
+    int64_t count = 1;
+    if (table.empty()) {
+      SCIBORQ_ASSIGN_OR_RETURN(count, engine_->CheckpointAll());
+    } else {
+      SCIBORQ_RETURN_NOT_OK(engine_->Checkpoint(table));
+    }
+    server_->metrics_.checkpoints_taken->Inc(count);
+    return count;
+  }
+
+  Status CreateTable(const std::string& name, const Schema& schema,
+                     uint64_t seed, const RetentionPolicy& retention) override {
+    // The seed travels explicitly so a coordinator can hand each shard a
+    // distinct sampler stream; the retention policy makes it a windowed
+    // (time-series) table.
+    TableOptions table_options;
+    table_options.seed = seed;
+    table_options.retention = retention;
+    return engine_->CreateTable(name, schema, table_options);
+  }
+
+  Result<int64_t> Ingest(const std::string& table,
+                         const Table& batch) override {
+    SCIBORQ_RETURN_NOT_OK(engine_->IngestBatch(table, batch));
+    return batch.num_rows();
+  }
+
+  std::vector<obs::SlowQueryEntry> SlowQueries() override {
+    return engine_->SlowQueries();
+  }
+
+  Status DropTable(const std::string& name) override {
+    // Catalog entry plus every on-disk file. The engine serializes against
+    // in-flight queries and checkpoints under the table's own locks.
+    return engine_->DropTable(name);
+  }
+
+ private:
+  SciborqServer* server_;
+  Engine* engine_;
+  Session session_;
+};
 
 SciborqServer::SciborqServer(Engine* engine, ServerOptions options)
-    : engine_(engine), options_(options) {
+    : engine_(engine),
+      options_(options),
+      service_("server",
+               [this] { return std::make_unique<EngineSession>(this); }) {
   SCIBORQ_CHECK(engine_ != nullptr);
   obs::Registry* reg = obs::DefaultRegistry();
-  const obs::Labels by_instance = {{"instance", NextServerInstance()}};
-  metrics_.connections_accepted =
-      reg->GetCounter("sciborq_server_connections_total",
-                      "TCP connections accepted.", by_instance);
+  const obs::Labels by_instance = {{"instance", service_.instance()}};
   metrics_.queries_served = reg->GetCounter(
       "sciborq_server_queries_total",
       "Query/Execute requests received (before execution).", by_instance);
@@ -39,369 +110,15 @@ SciborqServer::SciborqServer(Engine* engine, ServerOptions options)
   metrics_.checkpoints_taken =
       reg->GetCounter("sciborq_server_checkpoints_total",
                       "Tables checkpointed on request.", by_instance);
-  metrics_.protocol_errors =
-      reg->GetCounter("sciborq_server_protocol_errors_total",
-                      "Undecodable or misframed requests.", by_instance);
-  metrics_.bytes_in = reg->GetCounter(
-      "sciborq_server_bytes_in_total",
-      "Request bytes received (frame prefix included).", by_instance);
-  metrics_.bytes_out = reg->GetCounter(
-      "sciborq_server_bytes_out_total",
-      "Response bytes sent (frame prefix included).", by_instance);
-  for (uint8_t op = 0; op <= static_cast<uint8_t>(Opcode::kDropTable); ++op) {
-    metrics_.request_seconds[op] = reg->GetHistogram(
-        "sciborq_server_request_seconds", "Request handling latency.",
-        obs::DefaultLatencyBounds(),
-        {{"instance", by_instance[0].second},
-         {"opcode", std::string(OpcodeToString(static_cast<Opcode>(op)))}});
-  }
 }
 
 SciborqServer::~SciborqServer() { Stop(); }
 
 Status SciborqServer::Start() {
-  if (started_.load()) {
-    return Status::FailedPrecondition("server already started");
-  }
-  SCIBORQ_ASSIGN_OR_RETURN(TcpListener listener,
-                           TcpListener::Bind(options_.port));
-  port_ = listener.port();
-  listener_.emplace(std::move(listener));
-  handler_pool_ =
-      std::make_unique<ThreadPool>(std::max(1, options_.max_connections));
-  started_.store(true);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  return Status::OK();
+  return service_.Start(options_.port, options_.max_connections,
+                        options_.max_frame_bytes);
 }
 
-void SciborqServer::Stop() {
-  if (!started_.load() || stopping_.exchange(true)) return;
-  // 1. No new connections: wake and join the accept thread.
-  listener_->Shutdown();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  // 2. Drain: half-close every live connection's read side. A handler busy
-  //    with a query finishes it, sends the response over the still-open
-  //    write side, then reads a clean EOF and exits; idle and queued
-  //    connections see the EOF immediately.
-  {
-    MutexLock lock(&conns_mu_);
-    for (auto& [id, conn] : active_conns_) conn->ShutdownRead();
-  }
-  // 3. Join the handlers.
-  if (handler_pool_) {
-    handler_pool_->Wait();
-    handler_pool_.reset();
-  }
-  listener_->Close();
-}
-
-void SciborqServer::AcceptLoop() {
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    Result<TcpConn> accepted = listener_->Accept();
-    if (!accepted.ok()) {
-      if (stopping_.load(std::memory_order_relaxed)) break;
-      // Transient accept failure (e.g. fd pressure): back off briefly
-      // rather than spinning.
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      continue;
-    }
-    metrics_.connections_accepted->Inc();
-    auto conn = std::make_shared<TcpConn>(std::move(accepted).value());
-    int64_t id;
-    {
-      MutexLock lock(&conns_mu_);
-      id = next_conn_id_++;
-      active_conns_.emplace(id, conn.get());
-    }
-    handler_pool_->Submit([this, id, conn]() mutable {
-      HandleConnection(conn);
-      MutexLock lock(&conns_mu_);
-      active_conns_.erase(id);
-    });
-  }
-}
-
-void SciborqServer::HandleConnection(std::shared_ptr<TcpConn> conn) {
-  // The connection's whole life runs on this one pool worker, so the
-  // session's single-thread ownership contract holds by construction.
-  Session session(engine_);
-  for (;;) {
-    Result<std::optional<std::string>> frame =
-        conn->RecvFrame(options_.max_frame_bytes);
-    if (!frame.ok()) {
-      // Framing is broken (oversized/truncated prefix): report best-effort
-      // and close — the stream can't be resynchronized.
-      metrics_.protocol_errors->Inc();
-      (void)conn->SendFrame(
-          EncodeResponse(Opcode::kInvalid, frame.status(), ""));
-      break;
-    }
-    if (!frame->has_value()) break;  // peer closed cleanly between frames
-    metrics_.bytes_in->Inc(static_cast<int64_t>((*frame)->size()) + 4);
-    Result<RequestFrame> request = DecodeRequest(**frame);
-    if (!request.ok()) {
-      // Bad version or opcode: the peer speaks something else; answer once
-      // and hang up.
-      metrics_.protocol_errors->Inc();
-      (void)conn->SendFrame(
-          EncodeResponse(Opcode::kInvalid, request.status(), ""));
-      break;
-    }
-    Stopwatch request_watch;
-    const std::string response = HandleRequest(*request, &session);
-    metrics_.request_seconds[static_cast<uint8_t>(request->opcode)]->Observe(
-        request_watch.ElapsedSeconds());
-    metrics_.bytes_out->Inc(static_cast<int64_t>(response.size()) + 4);
-    if (!conn->SendFrame(response).ok()) break;
-  }
-}
-
-std::string SciborqServer::HandleRequest(const RequestFrame& request,
-                                         Session* session) {
-  WireReader payload(request.payload);
-  // Version negotiation: the response is stamped (and its payload encoded)
-  // with the version the peer's request carried, so v1/v2 peers keep
-  // byte-identical responses while v3 peers get the distributed fields.
-  const uint8_t version = request.version;
-  switch (request.opcode) {
-    case Opcode::kQuery: {
-      Result<std::string> sql = payload.ReadString();
-      if (!sql.ok()) {
-        return EncodeResponse(request.opcode, sql.status(), "", version);
-      }
-      QueryExecOptions exec;
-      if (version >= kWireVersionV3) {
-        // v3 kQuery appends a flags byte: bit 0 = mergeable (ship the
-        // Welford partials behind an exact answer).
-        Result<uint8_t> flags = payload.ReadU8();
-        if (!flags.ok()) {
-          return EncodeResponse(request.opcode, flags.status(), "", version);
-        }
-        exec.mergeable = (*flags & 0x1) != 0;
-      }
-      if (version >= kWireVersionV4) {
-        // v4 kQuery appends the caller's query id ("" = assign one) — how a
-        // coordinator threads one id through every shard's trace.
-        Result<std::string> query_id = payload.ReadString();
-        if (!query_id.ok()) {
-          return EncodeResponse(request.opcode, query_id.status(), "",
-                                version);
-        }
-        exec.query_id = std::move(*query_id);
-      }
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "", version);
-      }
-      metrics_.queries_served->Inc();
-      Result<QueryOutcome> outcome = session->Query(*sql, exec);
-      if (!outcome.ok()) {
-        return EncodeResponse(request.opcode, outcome.status(), "", version);
-      }
-      WireWriter w;
-      EncodeOutcome(*outcome, &w, version);
-      return EncodeResponse(request.opcode, Status::OK(), w.buffer(), version);
-    }
-    case Opcode::kUse: {
-      Result<std::string> table = payload.ReadString();
-      if (!table.ok()) {
-        return EncodeResponse(request.opcode, table.status(), "");
-      }
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "");
-      }
-      return EncodeResponse(request.opcode, session->Use(*table), "");
-    }
-    case Opcode::kSetBounds: {
-      Result<QueryBounds> bounds = DecodeBounds(&payload);
-      if (!bounds.ok()) {
-        return EncodeResponse(request.opcode, bounds.status(), "");
-      }
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "");
-      }
-      session->set_default_bounds(*bounds);
-      return EncodeResponse(request.opcode, Status::OK(), "");
-    }
-    case Opcode::kCatalog: {
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "");
-      }
-      const std::vector<TableInfo> tables = engine_->ListTables();
-      WireWriter w;
-      w.PutU32(static_cast<uint32_t>(tables.size()));
-      for (const TableInfo& info : tables) EncodeTableInfo(info, &w, version);
-      return EncodeResponse(request.opcode, Status::OK(), w.buffer(), version);
-    }
-    case Opcode::kPing: {
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "");
-      }
-      return EncodeResponse(request.opcode, Status::OK(), "");
-    }
-    case Opcode::kPrepare: {
-      Result<std::string> sql = payload.ReadString();
-      if (!sql.ok()) return EncodeResponse(request.opcode, sql.status(), "");
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "");
-      }
-      Result<StatementInfo> info = session->Prepare(*sql);
-      if (!info.ok()) {
-        return EncodeResponse(request.opcode, info.status(), "");
-      }
-      metrics_.statements_prepared->Inc();
-      WireWriter w;
-      EncodeStatementInfo(*info, &w);
-      return EncodeResponse(request.opcode, Status::OK(), w.buffer());
-    }
-    case Opcode::kExecute: {
-      Result<int64_t> id = payload.ReadI64();
-      if (!id.ok()) return EncodeResponse(request.opcode, id.status(), "");
-      Result<std::vector<Value>> params = DecodeParams(&payload);
-      if (!params.ok()) {
-        return EncodeResponse(request.opcode, params.status(), "");
-      }
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "");
-      }
-      metrics_.queries_served->Inc();
-      Result<QueryOutcome> outcome =
-          session->Execute(StatementHandle{*id}, *params);
-      if (!outcome.ok()) {
-        return EncodeResponse(request.opcode, outcome.status(), "", version);
-      }
-      WireWriter w;
-      EncodeOutcome(*outcome, &w, version);
-      return EncodeResponse(request.opcode, Status::OK(), w.buffer(), version);
-    }
-    case Opcode::kCloseStmt: {
-      Result<int64_t> id = payload.ReadI64();
-      if (!id.ok()) return EncodeResponse(request.opcode, id.status(), "");
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "");
-      }
-      return EncodeResponse(request.opcode,
-                            session->CloseStatement(StatementHandle{*id}), "");
-    }
-    case Opcode::kCheckpoint: {
-      // "" = checkpoint every table. Engine-wide state, not session state,
-      // so this goes straight to the engine; FailedPrecondition travels back
-      // code-intact when the server runs without --db-dir.
-      Result<std::string> table = payload.ReadString();
-      if (!table.ok()) {
-        return EncodeResponse(request.opcode, table.status(), "");
-      }
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "");
-      }
-      int64_t count = 0;
-      if (table->empty()) {
-        Result<int64_t> all = engine_->CheckpointAll();
-        if (!all.ok()) return EncodeResponse(request.opcode, all.status(), "");
-        count = *all;
-      } else {
-        if (Status st = engine_->Checkpoint(*table); !st.ok()) {
-          return EncodeResponse(request.opcode, st, "");
-        }
-        count = 1;
-      }
-      metrics_.checkpoints_taken->Inc(count);
-      WireWriter w;
-      w.PutU32(static_cast<uint32_t>(count));
-      return EncodeResponse(request.opcode, Status::OK(), w.buffer());
-    }
-    case Opcode::kCreateTable: {
-      // v3, coordinator ingest routing: register an empty table so a
-      // subsequent kIngest stream has somewhere to land. The seed travels
-      // explicitly so a coordinator can hand each shard a distinct sampler
-      // stream (derived like ShardedImpressionBuilder's).
-      Result<std::string> name = payload.ReadString();
-      if (!name.ok()) {
-        return EncodeResponse(request.opcode, name.status(), "", version);
-      }
-      Result<Schema> schema = DecodeSchema(&payload);
-      if (!schema.ok()) {
-        return EncodeResponse(request.opcode, schema.status(), "", version);
-      }
-      Result<uint64_t> seed = payload.ReadU64();
-      if (!seed.ok()) {
-        return EncodeResponse(request.opcode, seed.status(), "", version);
-      }
-      TableOptions table_options;
-      table_options.seed = *seed;
-      if (version >= kWireVersionV6) {
-        // v6 kCreateTable appends the retention block — how a windowed
-        // (time-series) table is registered over the wire.
-        Result<RetentionPolicy> retention = DecodeRetentionPolicy(&payload);
-        if (!retention.ok()) {
-          return EncodeResponse(request.opcode, retention.status(), "",
-                                version);
-        }
-        table_options.retention = std::move(*retention);
-      }
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "", version);
-      }
-      return EncodeResponse(request.opcode,
-                            engine_->CreateTable(*name, *schema, table_options),
-                            "", version);
-    }
-    case Opcode::kIngest: {
-      Result<std::string> table = payload.ReadString();
-      if (!table.ok()) {
-        return EncodeResponse(request.opcode, table.status(), "", version);
-      }
-      Result<Table> batch = DecodeTable(&payload);
-      if (!batch.ok()) {
-        return EncodeResponse(request.opcode, batch.status(), "", version);
-      }
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "", version);
-      }
-      const int64_t rows = batch->num_rows();
-      if (Status st = engine_->IngestBatch(*table, *batch); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "", version);
-      }
-      WireWriter w;
-      w.PutI64(rows);
-      return EncodeResponse(request.opcode, Status::OK(), w.buffer(), version);
-    }
-    case Opcode::kStats: {
-      // v4: the whole process registry, flattened — engine-, WAL-, and
-      // server-level series alike (one process, one scrape).
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "", version);
-      }
-      WireWriter w;
-      EncodeStatSamples(obs::DefaultRegistry()->Samples(), &w);
-      return EncodeResponse(request.opcode, Status::OK(), w.buffer(), version);
-    }
-    case Opcode::kSlowLog: {
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "", version);
-      }
-      WireWriter w;
-      EncodeSlowQueries(engine_->SlowQueries(), &w);
-      return EncodeResponse(request.opcode, Status::OK(), w.buffer(), version);
-    }
-    case Opcode::kDropTable: {
-      // v6: permanent removal — catalog entry plus every on-disk file. The
-      // engine serializes against in-flight queries and checkpoints under
-      // the table's own locks, so this is safe to issue at any time.
-      Result<std::string> name = payload.ReadString();
-      if (!name.ok()) {
-        return EncodeResponse(request.opcode, name.status(), "", version);
-      }
-      if (Status st = payload.ExpectEnd(); !st.ok()) {
-        return EncodeResponse(request.opcode, st, "", version);
-      }
-      return EncodeResponse(request.opcode, engine_->DropTable(*name), "",
-                            version);
-    }
-    case Opcode::kInvalid:
-      break;  // DecodeRequest never produces it
-  }
-  return EncodeResponse(Opcode::kInvalid,
-                        Status::Internal("unhandled opcode"), "");
-}
+void SciborqServer::Stop() { service_.Stop(); }
 
 }  // namespace sciborq

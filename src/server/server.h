@@ -1,23 +1,14 @@
 #ifndef SCIBORQ_SERVER_SERVER_H_
 #define SCIBORQ_SERVER_SERVER_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <optional>
-#include <thread>
-#include <unordered_map>
 
 #include "api/engine.h"
 #include "obs/metrics.h"
-#include "server/socket.h"
+#include "server/service.h"
 #include "server/wire.h"
-#include "util/thread_annotations.h"
-#include "util/thread_pool.h"
 
 namespace sciborq {
-
-class Session;
 
 struct ServerOptions {
   /// TCP port to listen on; 0 picks a free ephemeral port (port() reports
@@ -31,12 +22,13 @@ struct ServerOptions {
   int64_t max_frame_bytes = kMaxFrameBytes;
 };
 
-/// The network face of an Engine: a blocking-socket TCP server speaking the
-/// length-prefixed protocol of server/wire.h, thread-per-connection over the
-/// library's ThreadPool. Each connection owns one api/Session, so `USE` and
-/// default bounds persist per client while every query still flows through
-/// the one thread-safe Engine — N connections are just N concurrent callers
-/// of Engine::Query, the shape engine_test already proves deterministic.
+/// The network face of an Engine: the shared WireService (server/service.h)
+/// speaking the length-prefixed protocol of server/wire.h, one blocking
+/// handler per connection. Each connection owns one api/Session, so `USE`
+/// and default bounds persist per client while every query still flows
+/// through the one thread-safe Engine — N connections are just N concurrent
+/// callers of Engine::Query, the shape engine_test already proves
+/// deterministic.
 ///
 /// Lifecycle: Start() binds and returns; Stop() is graceful — it stops
 /// accepting, half-closes every connection's read side so handlers finish
@@ -60,14 +52,14 @@ class SciborqServer {
   void Stop();
 
   /// The bound port (valid after a successful Start).
-  int port() const { return port_; }
-  bool running() const { return started_.load() && !stopping_.load(); }
+  int port() const { return service_.port(); }
+  bool running() const { return service_.running(); }
 
   // Thin reads of this instance's registry counters (each server gets its
   // own `instance`-labeled series, so the values stay exact per instance
   // even with several servers in one process).
   int64_t connections_accepted() const {
-    return metrics_.connections_accepted->Value();
+    return service_.connections_accepted();
   }
   int64_t queries_served() const { return metrics_.queries_served->Value(); }
   int64_t statements_prepared() const {
@@ -76,47 +68,29 @@ class SciborqServer {
   int64_t checkpoints_taken() const {
     return metrics_.checkpoints_taken->Value();
   }
-  int64_t protocol_errors() const { return metrics_.protocol_errors->Value(); }
-  int64_t bytes_received() const { return metrics_.bytes_in->Value(); }
-  int64_t bytes_sent() const { return metrics_.bytes_out->Value(); }
+  int64_t protocol_errors() const { return service_.protocol_errors(); }
+  int64_t bytes_received() const { return service_.bytes_received(); }
+  int64_t bytes_sent() const { return service_.bytes_sent(); }
 
  private:
-  void AcceptLoop();
-  void HandleConnection(std::shared_ptr<TcpConn> conn);
-  /// Dispatches one decoded request to the connection's session; returns the
-  /// response body to send.
-  std::string HandleRequest(const RequestFrame& request, Session* session);
+  /// The engine backend behind one connection (defined in server.cc).
+  class EngineSession;
 
   Engine* engine_;
   ServerOptions options_;
-  int port_ = -1;
 
-  std::optional<TcpListener> listener_;
-  std::unique_ptr<ThreadPool> handler_pool_;
-  std::thread accept_thread_;
-  std::atomic<bool> started_{false};
-  std::atomic<bool> stopping_{false};
-
-  /// Live connections, for Stop() to half-close. Handlers register on entry
-  /// and deregister (under the same lock) before destroying the conn.
-  Mutex conns_mu_;
-  std::unordered_map<int64_t, TcpConn*> active_conns_ GUARDED_BY(conns_mu_);
-  int64_t next_conn_id_ GUARDED_BY(conns_mu_) = 0;
-
-  /// This instance's series in the process registry (obs/metrics.h),
+  /// The engine-side series in the process registry (obs/metrics.h),
   /// resolved once in the constructor. Pointees are internally atomic.
   struct Metrics {
-    obs::Counter* connections_accepted = nullptr;
     obs::Counter* queries_served = nullptr;
     obs::Counter* statements_prepared = nullptr;
     obs::Counter* checkpoints_taken = nullptr;
-    obs::Counter* protocol_errors = nullptr;
-    obs::Counter* bytes_in = nullptr;
-    obs::Counter* bytes_out = nullptr;
-    /// Per-opcode request latency, indexed by the opcode byte.
-    obs::Histogram* request_seconds[16] = {};
   };
   Metrics metrics_;
+
+  /// Declared last: destroyed first, so no handler outlives the members
+  /// its sessions use.
+  WireService service_;
 };
 
 }  // namespace sciborq

@@ -1,6 +1,7 @@
 #include "server/wire.h"
 
 #include <cstring>
+#include <iterator>
 #include <utility>
 
 #include "util/string_util.h"
@@ -13,46 +14,19 @@ namespace {
 /// with util/status.h (the enum is append-only).
 constexpr uint8_t kMaxStatusCode = static_cast<uint8_t>(StatusCode::kDataLoss);
 
-/// Validates an opcode against the envelope's version: v1 frames may only
-/// carry the original opcode set, v2 frames also the prepared-statement
-/// ones, v3 frames also the distributed ingest ones, v4/v5 frames also the
-/// observability ones, v6 frames also the retention ones.
-Result<Opcode> OpcodeFromWire(uint8_t op, uint8_t version) {
-  uint8_t max_op = static_cast<uint8_t>(Opcode::kPing);
-  if (version >= kWireVersionV6) {
-    max_op = static_cast<uint8_t>(Opcode::kDropTable);
-  } else if (version >= kWireVersionV4) {
-    max_op = static_cast<uint8_t>(Opcode::kSlowLog);
-  } else if (version == kWireVersionV3) {
-    max_op = static_cast<uint8_t>(Opcode::kIngest);
-  } else if (version == kWireVersionV2) {
-    max_op = static_cast<uint8_t>(Opcode::kCheckpoint);
-  }
-  if (op < static_cast<uint8_t>(Opcode::kQuery) || op > max_op) {
-    if (op > max_op && op <= static_cast<uint8_t>(Opcode::kDropTable)) {
-      uint8_t required = kWireVersionV2;
-      if (op > static_cast<uint8_t>(Opcode::kSlowLog)) {
-        required = kWireVersionV6;
-      } else if (op > static_cast<uint8_t>(Opcode::kIngest)) {
-        required = kWireVersionV4;
-      } else if (op > static_cast<uint8_t>(Opcode::kCheckpoint)) {
-        required = kWireVersionV3;
-      }
-      return Status::InvalidArgument(StrFormat(
-          "wire: opcode %u requires protocol v%u, frame is v%u", op,
-          required, version));
-    }
+Result<Opcode> OpcodeFromWire(uint8_t op) {
+  if (op < static_cast<uint8_t>(Opcode::kQuery) ||
+      op > static_cast<uint8_t>(Opcode::kDropTable)) {
     return Status::InvalidArgument(StrFormat("wire: unknown opcode %u", op));
   }
   return static_cast<Opcode>(op);
 }
 
 Status CheckVersion(uint8_t version) {
-  if (version < kWireVersionV1 || version > kWireVersion) {
+  if (version != kWireVersion) {
     return Status::InvalidArgument(
-        StrFormat("wire: protocol version %u not supported (this side speaks "
-                  "v%u..v%u)",
-                  version, kWireVersionV1, kWireVersion));
+        StrFormat("wire: peer speaks protocol v%u, this build speaks v%u",
+                  version, kWireVersion));
   }
   return Status::OK();
 }
@@ -60,59 +34,13 @@ Status CheckVersion(uint8_t version) {
 }  // namespace
 
 std::string_view OpcodeToString(Opcode op) {
-  switch (op) {
-    case Opcode::kInvalid:
-      return "invalid";
-    case Opcode::kQuery:
-      return "query";
-    case Opcode::kUse:
-      return "use";
-    case Opcode::kSetBounds:
-      return "set_bounds";
-    case Opcode::kCatalog:
-      return "catalog";
-    case Opcode::kPing:
-      return "ping";
-    case Opcode::kPrepare:
-      return "prepare";
-    case Opcode::kExecute:
-      return "execute";
-    case Opcode::kCloseStmt:
-      return "close_stmt";
-    case Opcode::kCheckpoint:
-      return "checkpoint";
-    case Opcode::kCreateTable:
-      return "create_table";
-    case Opcode::kIngest:
-      return "ingest";
-    case Opcode::kStats:
-      return "stats";
-    case Opcode::kSlowLog:
-      return "slow_log";
-    case Opcode::kDropTable:
-      return "drop_table";
-  }
-  return "unknown";
-}
-
-uint8_t WireVersionFor(Opcode op) {
-  switch (op) {
-    case Opcode::kPrepare:
-    case Opcode::kExecute:
-    case Opcode::kCloseStmt:
-    case Opcode::kCheckpoint:
-      return kWireVersionV2;
-    case Opcode::kCreateTable:
-    case Opcode::kIngest:
-      return kWireVersionV3;
-    case Opcode::kStats:
-    case Opcode::kSlowLog:
-      return kWireVersionV4;
-    case Opcode::kDropTable:
-      return kWireVersionV6;
-    default:
-      return kWireVersionV1;
-  }
+  // Indexed by the opcode byte.
+  static constexpr std::string_view kNames[] = {
+      "invalid",      "query",   "use",     "set_bounds", "catalog",
+      "ping",         "prepare", "execute", "close_stmt", "checkpoint",
+      "create_table", "ingest",  "stats",   "slow_log",   "drop_table"};
+  const auto index = static_cast<size_t>(op);
+  return index < std::size(kNames) ? kNames[index] : "unknown";
 }
 
 // -- QueryBounds ------------------------------------------------------------
@@ -250,8 +178,7 @@ Result<AggregateMoments> DecodeMoments(WireReader* r) {
 
 // -- QueryOutcome -----------------------------------------------------------
 
-void EncodeOutcome(const QueryOutcome& outcome, WireWriter* w,
-                   uint8_t version) {
+void EncodeOutcome(const QueryOutcome& outcome, WireWriter* w) {
   w->PutString(outcome.table);
   w->PutString(outcome.sql);
   w->PutString(outcome.answered_by);
@@ -268,7 +195,6 @@ void EncodeOutcome(const QueryOutcome& outcome, WireWriter* w,
   }
   w->PutU32(static_cast<uint32_t>(outcome.attempts.size()));
   for (const LayerAttempt& attempt : outcome.attempts) EncodeAttempt(attempt, w);
-  if (version < kWireVersionV3) return;  // v1/v2 stay byte-identical
   w->PutBool(outcome.partial);
   w->PutU32(static_cast<uint32_t>(outcome.shards_responded));
   w->PutU32(static_cast<uint32_t>(outcome.shards_total));
@@ -277,13 +203,12 @@ void EncodeOutcome(const QueryOutcome& outcome, WireWriter* w,
     w->PutU32(static_cast<uint32_t>(row_moments.size()));
     for (const AggregateMoments& m : row_moments) EncodeMoments(m, w);
   }
-  if (version < kWireVersionV4) return;  // v3 stays byte-identical
   w->PutString(outcome.query_id);
   w->PutU32(static_cast<uint32_t>(outcome.spans.size()));
   for (const PhaseSpan& span : outcome.spans) EncodeSpan(span, w);
 }
 
-Result<QueryOutcome> DecodeOutcome(WireReader* r, uint8_t version) {
+Result<QueryOutcome> DecodeOutcome(WireReader* r) {
   QueryOutcome outcome;
   SCIBORQ_ASSIGN_OR_RETURN(outcome.table, r->ReadString());
   SCIBORQ_ASSIGN_OR_RETURN(outcome.sql, r->ReadString());
@@ -321,7 +246,6 @@ Result<QueryOutcome> DecodeOutcome(WireReader* r, uint8_t version) {
     SCIBORQ_ASSIGN_OR_RETURN(LayerAttempt attempt, DecodeAttempt(r));
     outcome.attempts.push_back(std::move(attempt));
   }
-  if (version < kWireVersionV3) return outcome;
   SCIBORQ_ASSIGN_OR_RETURN(outcome.partial, r->ReadBool());
   SCIBORQ_ASSIGN_OR_RETURN(const uint32_t responded, r->ReadU32());
   outcome.shards_responded = static_cast<int>(responded);
@@ -340,7 +264,6 @@ Result<QueryOutcome> DecodeOutcome(WireReader* r, uint8_t version) {
     }
     outcome.partials.push_back(std::move(row_moments));
   }
-  if (version < kWireVersionV4) return outcome;
   SCIBORQ_ASSIGN_OR_RETURN(outcome.query_id, r->ReadString());
   SCIBORQ_ASSIGN_OR_RETURN(const uint32_t num_spans,
                            r->ReadCount(20, "span"));
@@ -354,7 +277,7 @@ Result<QueryOutcome> DecodeOutcome(WireReader* r, uint8_t version) {
 
 // -- TableInfo --------------------------------------------------------------
 
-void EncodeTableInfo(const TableInfo& info, WireWriter* w, uint8_t version) {
+void EncodeTableInfo(const TableInfo& info, WireWriter* w) {
   w->PutString(info.name);
   w->PutI64(info.rows);
   EncodeSchema(info.schema, w);
@@ -368,21 +291,17 @@ void EncodeTableInfo(const TableInfo& info, WireWriter* w, uint8_t version) {
   w->PutI64(info.population_seen);
   w->PutBool(info.biased);
   w->PutI64(info.logged_queries);
-  if (version >= kWireVersionV3) {
-    w->PutU32(static_cast<uint32_t>(info.shards));
-  }
-  if (version >= kWireVersionV5) {
-    w->PutU32(static_cast<uint32_t>(info.storage.size()));
-    for (const ColumnStorageInfo& col : info.storage) {
-      w->PutString(col.column);
-      w->PutString(col.encoding);
-      w->PutI64(col.plain_bytes);
-      w->PutI64(col.encoded_bytes);
-    }
+  w->PutU32(static_cast<uint32_t>(info.shards));
+  w->PutU32(static_cast<uint32_t>(info.storage.size()));
+  for (const ColumnStorageInfo& col : info.storage) {
+    w->PutString(col.column);
+    w->PutString(col.encoding);
+    w->PutI64(col.plain_bytes);
+    w->PutI64(col.encoded_bytes);
   }
 }
 
-Result<TableInfo> DecodeTableInfo(WireReader* r, uint8_t version) {
+Result<TableInfo> DecodeTableInfo(WireReader* r) {
   TableInfo info;
   SCIBORQ_ASSIGN_OR_RETURN(info.name, r->ReadString());
   SCIBORQ_ASSIGN_OR_RETURN(info.rows, r->ReadI64());
@@ -402,21 +321,17 @@ Result<TableInfo> DecodeTableInfo(WireReader* r, uint8_t version) {
   SCIBORQ_ASSIGN_OR_RETURN(info.population_seen, r->ReadI64());
   SCIBORQ_ASSIGN_OR_RETURN(info.biased, r->ReadBool());
   SCIBORQ_ASSIGN_OR_RETURN(info.logged_queries, r->ReadI64());
-  if (version >= kWireVersionV3) {
-    SCIBORQ_ASSIGN_OR_RETURN(const uint32_t shards, r->ReadU32());
-    info.shards = static_cast<int>(shards);
-  }
-  if (version >= kWireVersionV5) {
-    SCIBORQ_ASSIGN_OR_RETURN(const uint32_t num_columns,
-                             r->ReadCount(24, "storage column"));
-    for (uint32_t i = 0; i < num_columns; ++i) {
-      ColumnStorageInfo col;
-      SCIBORQ_ASSIGN_OR_RETURN(col.column, r->ReadString());
-      SCIBORQ_ASSIGN_OR_RETURN(col.encoding, r->ReadString());
-      SCIBORQ_ASSIGN_OR_RETURN(col.plain_bytes, r->ReadI64());
-      SCIBORQ_ASSIGN_OR_RETURN(col.encoded_bytes, r->ReadI64());
-      info.storage.push_back(std::move(col));
-    }
+  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t shards, r->ReadU32());
+  info.shards = static_cast<int>(shards);
+  SCIBORQ_ASSIGN_OR_RETURN(const uint32_t num_columns,
+                           r->ReadCount(24, "storage column"));
+  for (uint32_t i = 0; i < num_columns; ++i) {
+    ColumnStorageInfo col;
+    SCIBORQ_ASSIGN_OR_RETURN(col.column, r->ReadString());
+    SCIBORQ_ASSIGN_OR_RETURN(col.encoding, r->ReadString());
+    SCIBORQ_ASSIGN_OR_RETURN(col.plain_bytes, r->ReadI64());
+    SCIBORQ_ASSIGN_OR_RETURN(col.encoded_bytes, r->ReadI64());
+    info.storage.push_back(std::move(col));
   }
   return info;
 }
@@ -548,7 +463,7 @@ Result<std::vector<obs::SlowQueryEntry>> DecodeSlowQueries(WireReader* r) {
   return entries;
 }
 
-// -- RetentionPolicy (v6 kCreateTable block) --------------------------------
+// -- RetentionPolicy (kCreateTable block) --------------------------------
 
 void EncodeRetentionPolicy(const RetentionPolicy& policy, WireWriter* w) {
   w->PutBool(policy.enabled());
@@ -585,10 +500,9 @@ Result<RetentionPolicy> DecodeRetentionPolicy(WireReader* r) {
 
 // -- Envelopes --------------------------------------------------------------
 
-std::string EncodeRequest(Opcode op, std::string_view payload,
-                          uint8_t version) {
+std::string EncodeRequest(Opcode op, std::string_view payload) {
   WireWriter w;
-  w.PutU8(version == 0 ? WireVersionFor(op) : version);
+  w.PutU8(kWireVersion);
   w.PutU8(static_cast<uint8_t>(op));
   std::string body = w.Take();
   body.append(payload.data(), payload.size());
@@ -601,16 +515,15 @@ Result<RequestFrame> DecodeRequest(std::string_view body) {
   SCIBORQ_RETURN_NOT_OK(CheckVersion(version));
   SCIBORQ_ASSIGN_OR_RETURN(const uint8_t op, r.ReadU8());
   RequestFrame frame;
-  frame.version = version;
-  SCIBORQ_ASSIGN_OR_RETURN(frame.opcode, OpcodeFromWire(op, version));
+  SCIBORQ_ASSIGN_OR_RETURN(frame.opcode, OpcodeFromWire(op));
   frame.payload = std::string(body.substr(2));
   return frame;
 }
 
 std::string EncodeResponse(Opcode op, const Status& status,
-                           std::string_view payload, uint8_t version) {
+                           std::string_view payload) {
   WireWriter w;
-  w.PutU8(version == 0 ? WireVersionFor(op) : version);
+  w.PutU8(kWireVersion);
   w.PutU8(static_cast<uint8_t>(op));
   EncodeStatus(status, &w);
   std::string body = w.Take();
@@ -624,9 +537,8 @@ Result<ResponseFrame> DecodeResponse(std::string_view body) {
   SCIBORQ_RETURN_NOT_OK(CheckVersion(version));
   SCIBORQ_ASSIGN_OR_RETURN(const uint8_t op, r.ReadU8());
   ResponseFrame frame;
-  frame.version = version;
   if (op != static_cast<uint8_t>(Opcode::kInvalid)) {
-    SCIBORQ_ASSIGN_OR_RETURN(frame.opcode, OpcodeFromWire(op, version));
+    SCIBORQ_ASSIGN_OR_RETURN(frame.opcode, OpcodeFromWire(op));
   }
   SCIBORQ_RETURN_NOT_OK(DecodeStatus(&r, &frame.status));
   const size_t consumed = body.size() - static_cast<size_t>(r.remaining());

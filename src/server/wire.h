@@ -27,64 +27,45 @@ namespace sciborq {
 // where body = u8 version | u8 opcode | payload. Frames larger than the
 // receiver's max_frame_bytes are rejected without being read.
 //
-// v1 requests (client -> server), encoded with version byte 1 — byte
-// identical to every older build:
-//   kQuery     payload = string sql         (session table/bounds fill gaps)
-//   kUse       payload = string table       (sets the session default table)
-//   kSetBounds payload = QueryBounds        (session defaults for bare SQL)
-//   kCatalog   payload = (empty)            (list tables + metadata)
-//   kPing      payload = (empty)
+// The client, server and coordinator are built together, so there is one
+// protocol version, kWireVersion. A frame stamped with any other version is
+// refused with InvalidArgument naming both versions, and the server answers
+// that refusal once and hangs up.
 //
-// v2 adds prepared statements (parse once, bind, execute many), encoded
-// with version byte 2; a peer that only speaks v1 rejects them cleanly:
-//   kPrepare   payload = string sql          (`?` placeholder template)
-//   kExecute   payload = i64 id | params     (params = u32 n + n Value)
-//   kCloseStmt payload = i64 id
-//   kCheckpoint payload = string table       ("" = checkpoint every table;
-//                                             response payload = u32 count)
+// Requests (client -> server):
+//   kQuery       payload = string sql | u8 flags | string query_id
+//                (flags bit 0 = mergeable: also ship the Welford partials;
+//                 query_id "" = the server assigns one; session table and
+//                 bounds fill what the SQL leaves out)
+//   kUse         payload = string table     (sets the session default table)
+//   kSetBounds   payload = QueryBounds      (session defaults for bare SQL)
+//   kCatalog     payload = (empty)          (list tables + metadata)
+//   kPing        payload = (empty)
+//   kPrepare     payload = string sql       (`?` placeholder template)
+//   kExecute     payload = i64 id | params  (params = u32 n + n Value)
+//   kCloseStmt   payload = i64 id
+//   kCheckpoint  payload = string table     ("" = checkpoint every table)
+//   kCreateTable payload = string name | Schema | u64 seed | retention block
+//   kIngest      payload = string table | Table   (column/serde.h encoding)
+//   kStats       payload = (empty)          (flattened metrics registry)
+//   kSlowLog     payload = (empty)          (the bound-miss ring)
+//   kDropTable   payload = string name      (catalog + disk removal)
 //
-// v3 is the distributed protocol (coordinator <-> shard). Two new opcodes:
-//   kCreateTable payload = string name | Schema | u64 seed
-//   kIngest      payload = string table | Table   (column/serde.h encoding;
-//                                                  response payload = i64 rows)
-// and version negotiation on existing opcodes: a request *stamped* v3 gets a
-// v3-encoded response. A v3 kQuery request appends `u8 flags` after the SQL
-// (bit 0 = mergeable: the shard also ships its Welford partials); v3
-// QueryOutcome/TableInfo encodings append the distributed fields (partial
-// flag, shard counts, partials matrix; shard count). Requests stamped v1/v2
-// get byte-identical v1/v2 responses, so every older peer is untouched.
-//
-// v4 is the observability protocol. Two new opcodes:
-//   kStats    payload = (empty)        (response = u32 n + n StatSample:
-//                                       flattened metrics registry scrape)
-//   kSlowLog  payload = (empty)        (response = u32 n + n SlowQueryEntry:
-//                                       the bound-miss ring, oldest first)
-// and, under the same negotiation rule as v3: a v4 kQuery request appends
-// `string query_id` after the flags byte (the coordinator propagates its id
-// so shard traces stitch into one); v4 QueryOutcome encodings append the
-// trace fields (query id, phase spans). Requests stamped v1-v3 get
-// byte-identical v1-v3 responses.
-//
-// v5 adds no opcodes: it extends the kCatalog response's TableInfo with the
-// per-column storage block (dominant encoding, plain/encoded footprints).
-//
-// v6 is the retention protocol. One new opcode:
-//   kDropTable payload = string name     (catalog + disk removal; response
-//                                         payload empty)
-// and, under the usual negotiation rule: a kCreateTable request *stamped* v6
-// appends a retention block after the seed —
+// The retention block is
 //   u8 has_retention | [string time_column | i64 bucket_width |
 //   i64 window_buckets | u8 checkpoint_on_evict | i64 last_seen_capacity |
 //   i64 last_seen_expected_ingest]
-// (bracketed fields present only when has_retention = 1). Requests stamped
-// v3 stay byte-identical, so pre-retention peers are untouched.
+// (bracketed fields present only when has_retention = 1).
 //
 // Responses (server -> client) echo the request opcode and carry
 //   u8 status_code | string status_message | payload-if-OK
-// with payload: kQuery/kExecute -> QueryOutcome, kCatalog -> u32 n +
-// n TableInfo, kPrepare -> StatementInfo, others empty. Frame-level
-// failures (oversized/undecodable request) are reported with opcode
-// kInvalid and the connection is closed.
+// with payload: kQuery/kExecute -> QueryOutcome (distributed and trace
+// fields included), kCatalog -> u32 n + n TableInfo (shard count and
+// storage block included), kPrepare -> StatementInfo, kCheckpoint -> u32
+// tables checkpointed, kIngest -> i64 rows, kStats -> u32 n + n StatSample,
+// kSlowLog -> u32 n + n SlowQueryEntry, others empty. Frame-level failures
+// (oversized/undecodable request) are reported with opcode kInvalid and the
+// connection is closed.
 //
 // All integers are little-endian and fixed-width; doubles are IEEE-754 bit
 // patterns (NaN/Inf round-trip exactly); strings are u32 length + raw bytes.
@@ -92,25 +73,8 @@ namespace sciborq {
 // the wire tests assert byte-for-byte.
 // ---------------------------------------------------------------------------
 
-/// The original opcode set. Frames carrying v1 opcodes are still encoded
-/// with this version byte, so v1 request/response encodings never change.
-inline constexpr uint8_t kWireVersionV1 = 1;
-/// Adds kPrepare/kExecute/kCloseStmt.
-inline constexpr uint8_t kWireVersionV2 = 2;
-/// Adds kCreateTable/kIngest and the distributed QueryOutcome/TableInfo
-/// fields (partial flag, shard counts, mergeable Welford partials).
-inline constexpr uint8_t kWireVersionV3 = 3;
-/// Adds kStats/kSlowLog and the trace QueryOutcome fields (query id, phase
-/// spans) plus the kQuery query-id propagation field.
-inline constexpr uint8_t kWireVersionV4 = 4;
-/// Adds the TableInfo per-column storage block (dominant encoding and
-/// plain/encoded byte footprints) to kCatalog responses.
-inline constexpr uint8_t kWireVersionV5 = 5;
-/// Adds kDropTable and the optional kCreateTable retention block (windowed
-/// tables over the wire).
-inline constexpr uint8_t kWireVersionV6 = 6;
-/// Highest protocol version this build speaks.
-inline constexpr uint8_t kWireVersion = kWireVersionV6;
+/// The protocol version this build speaks, and the only one it accepts.
+inline constexpr uint8_t kWireVersion = 7;
 
 /// Default ceiling for one frame. Generous for result batches (a row of
 /// doubles is tens of bytes) while bounding a malicious length prefix.
@@ -123,27 +87,18 @@ enum class Opcode : uint8_t {
   kSetBounds = 3,
   kCatalog = 4,
   kPing = 5,
-  // -- v2: prepared statements --
   kPrepare = 6,
   kExecute = 7,
   kCloseStmt = 8,
-  // -- v2: persistence --
   kCheckpoint = 9,
-  // -- v3: distributed (coordinator -> shard ingest routing) --
   kCreateTable = 10,
   kIngest = 11,
-  // -- v4: observability --
   kStats = 12,
   kSlowLog = 13,
-  // -- v6: retention --
   kDropTable = 14,
 };
 
 std::string_view OpcodeToString(Opcode op);
-
-/// The version byte a frame carrying `op` is encoded with: v1 opcodes stay
-/// v1 (byte-identical to older builds), v2 opcodes are stamped v2.
-uint8_t WireVersionFor(Opcode op);
 
 /// The byte-buffer primitives are shared with the on-disk storage formats;
 /// see util/binio.h. The wire names remain canonical in protocol code.
@@ -153,8 +108,7 @@ using WireReader = BinaryReader;
 // -- Typed encode/decode pairs ----------------------------------------------
 //
 // Value and Schema codecs live in column/serde.h (shared with the storage
-// formats, byte-identical to every older build of this protocol) and are
-// re-exported through this header's includes.
+// formats) and are re-exported through this header's includes.
 
 void EncodeBounds(const QueryBounds& bounds, WireWriter* w);
 Result<QueryBounds> DecodeBounds(WireReader* r);
@@ -173,23 +127,20 @@ Result<LayerAttempt> DecodeAttempt(WireReader* r);
 void EncodeResultRow(const QueryResultRow& row, WireWriter* w);
 Result<QueryResultRow> DecodeResultRow(WireReader* r);
 
-/// Mergeable Welford state of one aggregate (v3): i64 count_only |
+/// Mergeable Welford state of one aggregate: i64 count_only |
 /// i64 count | f64 mean | f64 m2 | f64 min | f64 max. Bit-exact round trip,
 /// so merging a decoded state equals merging the original.
 void EncodeMoments(const AggregateMoments& m, WireWriter* w);
 Result<AggregateMoments> DecodeMoments(WireReader* r);
 
-/// Outcome/TableInfo codecs are version-gated: v1/v2 encodings are
-/// byte-identical to every older build; v3 appends the distributed fields.
-void EncodeOutcome(const QueryOutcome& outcome, WireWriter* w,
-                   uint8_t version = kWireVersionV1);
-Result<QueryOutcome> DecodeOutcome(WireReader* r,
-                                   uint8_t version = kWireVersionV1);
+/// A QueryOutcome with its distributed fields (partial flag, shard counts,
+/// partials matrix) and trace fields (query id, phase spans).
+void EncodeOutcome(const QueryOutcome& outcome, WireWriter* w);
+Result<QueryOutcome> DecodeOutcome(WireReader* r);
 
-void EncodeTableInfo(const TableInfo& info, WireWriter* w,
-                     uint8_t version = kWireVersionV1);
-Result<TableInfo> DecodeTableInfo(WireReader* r,
-                                  uint8_t version = kWireVersionV1);
+/// A TableInfo with its shard count and per-column storage block.
+void EncodeTableInfo(const TableInfo& info, WireWriter* w);
+Result<TableInfo> DecodeTableInfo(WireReader* r);
 
 /// Parameter lists for kExecute: u32 count + count Values. Decode rejects a
 /// count larger than the bytes that could possibly back it before
@@ -202,7 +153,7 @@ Result<std::vector<Value>> DecodeParams(WireReader* r);
 void EncodeStatementInfo(const StatementInfo& info, WireWriter* w);
 Result<StatementInfo> DecodeStatementInfo(WireReader* r);
 
-/// One phase span of a query trace (v4 QueryOutcome field).
+/// One phase span of a query trace (a QueryOutcome field).
 void EncodeSpan(const PhaseSpan& span, WireWriter* w);
 Result<PhaseSpan> DecodeSpan(WireReader* r);
 
@@ -217,7 +168,7 @@ void EncodeSlowQueries(const std::vector<obs::SlowQueryEntry>& entries,
                        WireWriter* w);
 Result<std::vector<obs::SlowQueryEntry>> DecodeSlowQueries(WireReader* r);
 
-/// The v6 kCreateTable retention block: u8 has_retention, then (when set)
+/// The kCreateTable retention block: u8 has_retention, then (when set)
 /// the policy fields. An empty/disabled policy encodes as the single 0 byte.
 /// Decode validates that an enabled policy carries positive bucket_width and
 /// window_buckets — a malformed policy is refused at the wire, not at table
@@ -227,32 +178,24 @@ Result<RetentionPolicy> DecodeRetentionPolicy(WireReader* r);
 
 // -- Message envelopes ------------------------------------------------------
 
-/// A decoded request: opcode plus its payload reader (positioned after the
-/// envelope; the handler decodes the op-specific payload). The version the
-/// peer stamped drives version negotiation: the response is encoded with the
-/// same version, so v1/v2 peers keep byte-identical responses.
+/// A decoded request: opcode plus its payload (the dispatcher decodes the
+/// op-specific fields).
 struct RequestFrame {
   Opcode opcode = Opcode::kInvalid;
-  uint8_t version = kWireVersionV1;  ///< version byte the peer stamped
-  std::string payload;               ///< op-specific bytes
+  std::string payload;  ///< op-specific bytes
 };
 
-/// version | opcode | payload. `version` 0 = the opcode's default stamp
-/// (WireVersionFor — byte-identical to older builds); a caller opting into
-/// v3 passes kWireVersionV3 explicitly.
-std::string EncodeRequest(Opcode op, std::string_view payload,
-                          uint8_t version = 0);
-/// Rejects unknown versions and opcodes.
+/// version | opcode | payload.
+std::string EncodeRequest(Opcode op, std::string_view payload);
+/// Rejects any version but kWireVersion, and unknown opcodes.
 Result<RequestFrame> DecodeRequest(std::string_view body);
 
-/// version | opcode | status | payload (payload only meaningful when OK).
-/// `version` 0 = the opcode's default stamp, as in EncodeRequest.
+/// version | opcode | status | payload (payload only encoded when OK).
 std::string EncodeResponse(Opcode op, const Status& status,
-                           std::string_view payload, uint8_t version = 0);
+                           std::string_view payload);
 
 struct ResponseFrame {
   Opcode opcode = Opcode::kInvalid;
-  uint8_t version = kWireVersionV1;  ///< version byte the server stamped
   Status status;
   std::string payload;  ///< empty unless status.ok()
 };

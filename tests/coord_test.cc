@@ -21,7 +21,10 @@
 #include "coord/shard_map.h"
 #include "server/server.h"
 #include "server/socket.h"
+#include "obs/metrics.h"
 #include "skyserver/catalog.h"
+#include "util/string_util.h"
+#include "workload/telemetry.h"
 
 namespace sciborq {
 namespace {
@@ -346,7 +349,7 @@ TEST_F(CoordTest, StitchedTraceCoversBothShards) {
 
 TEST_F(CoordTest, QueryIdPropagatesOverTheWire) {
   // The propagation mechanism itself, without the coordinator's budget
-  // rewriting: a v4 mergeable query carries an explicit id to the shard
+  // rewriting: a mergeable query carries an explicit id to the shard
   // server, whose engine records it in the outcome AND — after a
   // deterministic bound miss (1-microsecond budget, near-zero error: the
   // first layer answers, misses, and the blown deadline forbids
@@ -392,6 +395,144 @@ TEST_F(CoordTest, DegradedAnswerLandsInCoordinatorSlowLog) {
   EXPECT_EQ("photo_obj_all", entry.table);
   EXPECT_TRUE(entry.asked_exact);
   EXPECT_FALSE(entry.trace.empty());
+}
+
+TEST_F(CoordTest, CreateTableOverTheWireReachesEveryShard) {
+  CoordinatorOptions options;
+  options.port = 0;
+  SciborqCoordinator coordinator(BothShards(), options);
+  ASSERT_TRUE(coordinator.Start().ok());
+  SciborqClient client =
+      SciborqClient::Connect("127.0.0.1", coordinator.port()).value();
+
+  // Both overloads carry the retention block; a disabled policy creates a
+  // plain table on every shard.
+  const Schema schema = catalog_.photo_obj_all.schema();
+  ASSERT_TRUE(client.CreateTable("plain", schema, /*seed=*/9).ok());
+  ASSERT_TRUE(client.CreateTable("disabled", schema, RetentionPolicy(), 9).ok());
+  for (const auto& engine : shard_engines_) {
+    EXPECT_EQ(engine->TableRows("plain").value(), 0);
+    EXPECT_EQ(engine->TableRows("disabled").value(), 0);
+  }
+  coordinator.Stop();
+}
+
+TEST_F(CoordTest, WindowedCreateTableRefusedByCoordinator) {
+  CoordinatorOptions options;
+  options.port = 0;
+  SciborqCoordinator coordinator(BothShards(), options);
+  ASSERT_TRUE(coordinator.Start().ok());
+  SciborqClient client =
+      SciborqClient::Connect("127.0.0.1", coordinator.port()).value();
+
+  RetentionPolicy policy;
+  policy.time_column = "ts";
+  policy.bucket_width = 100;
+  policy.window_buckets = 3;
+  const Status st = client.CreateTable(
+      "telemetry", TelemetryGenerator::TableSchema(), policy, 7);
+  EXPECT_EQ(st.code(), StatusCode::kNotImplemented) << st.ToString();
+  EXPECT_NE(st.message().find("not served through the coordinator"),
+            std::string::npos)
+      << st.message();
+  for (const auto& engine : shard_engines_) {
+    EXPECT_FALSE(engine->TableRows("telemetry").ok());
+  }
+  // A refused request is an answer, not a protocol error.
+  EXPECT_TRUE(client.Ping().ok());
+  EXPECT_EQ(coordinator.protocol_errors(), 0);
+  coordinator.Stop();
+}
+
+/// Sum over every registry sample named `name` whose labels contain `label`.
+double SampleSum(const std::string& name, const std::string& label = "") {
+  double sum = 0.0;
+  for (const obs::StatSample& s : obs::DefaultRegistry()->Samples()) {
+    if (s.name == name && s.labels.find(label) != std::string::npos) {
+      sum += s.value;
+    }
+  }
+  return sum;
+}
+
+/// Sends one request of every opcode through `client` and checks each
+/// answer's shape; `table` is a scratch table name for create/ingest/drop.
+void DriveEveryOpcode(SciborqClient* client, const std::string& table,
+                      const Table& rows) {
+  EXPECT_TRUE(client->Ping().ok());
+  Result<std::vector<TableInfo>> tables = client->ListTables();
+  ASSERT_TRUE(tables.ok()) << tables.status().ToString();
+  EXPECT_FALSE(tables->empty());
+  ASSERT_TRUE(client->Use("photo_obj_all").ok());
+  QueryBounds bounds;
+  bounds.exact = true;
+  ASSERT_TRUE(client->SetDefaultBounds(bounds).ok());
+  Result<QueryOutcome> count = client->Query("SELECT COUNT(*)");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_TRUE(count->exact);
+  Result<StatementInfo> stmt =
+      client->Prepare("SELECT COUNT(*) FROM photo_obj_all WHERE ra > ?");
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  ASSERT_TRUE(client->Execute(stmt->handle, {Value(180.0)}).ok());
+  EXPECT_TRUE(client->CloseStatement(stmt->handle).ok());
+  // In-memory engines have no database directory: the refusal travels back
+  // code-intact through either backend.
+  EXPECT_EQ(client->Checkpoint().status().code(),
+            StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(client->CreateTable(table, rows.schema(), 5).ok());
+  EXPECT_EQ(client->Ingest(table, rows).value(), rows.num_rows());
+  Result<std::vector<obs::StatSample>> stats = client->ServerStats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_FALSE(stats->empty());
+  EXPECT_TRUE(client->SlowQueries().ok());
+  EXPECT_TRUE(client->DropTable(table).ok());
+}
+
+TEST_F(CoordTest, EveryOpcodeServedByBothBackends) {
+  CoordinatorOptions options;
+  options.port = 0;
+  SciborqCoordinator coordinator(BothShards(), options);
+  Distribute(&coordinator);
+  ASSERT_TRUE(coordinator.Start().ok());
+  Table rows(catalog_.photo_obj_all.schema());
+  for (int64_t r = 0; r < 10; ++r) rows.AppendRowFrom(catalog_.photo_obj_all, r);
+
+  const double coord_in = SampleSum("sciborq_coord_bytes_in_total");
+  const double coord_out = SampleSum("sciborq_coord_bytes_out_total");
+  std::vector<double> served_before;
+  for (const char* kind : {"server", "coord"}) {
+    for (uint8_t op = 1; op <= static_cast<uint8_t>(Opcode::kDropTable); ++op) {
+      served_before.push_back(SampleSum(
+          StrFormat("sciborq_%s_request_seconds_count", kind),
+          StrFormat("opcode=\"%s\"",
+                    std::string(OpcodeToString(static_cast<Opcode>(op)))
+                        .c_str())));
+    }
+  }
+
+  // The engine backend (a shard server) and the fan-out backend (the
+  // coordinator) answer the same requests through the same dispatcher.
+  SciborqClient shard =
+      SciborqClient::Connect("127.0.0.1", shard_servers_[0]->port()).value();
+  DriveEveryOpcode(&shard, "scratch_shard", rows);
+  SciborqClient coord =
+      SciborqClient::Connect("127.0.0.1", coordinator.port()).value();
+  DriveEveryOpcode(&coord, "scratch_coord", rows);
+
+  EXPECT_GT(SampleSum("sciborq_coord_bytes_in_total"), coord_in);
+  EXPECT_GT(SampleSum("sciborq_coord_bytes_out_total"), coord_out);
+  size_t i = 0;
+  for (const char* kind : {"server", "coord"}) {
+    for (uint8_t op = 1; op <= static_cast<uint8_t>(Opcode::kDropTable); ++op) {
+      const std::string name(OpcodeToString(static_cast<Opcode>(op)));
+      EXPECT_GT(SampleSum(StrFormat("sciborq_%s_request_seconds_count", kind),
+                          StrFormat("opcode=\"%s\"", name.c_str())),
+                served_before[i++])
+          << kind << " " << name;
+    }
+  }
+  EXPECT_EQ(coordinator.protocol_errors(), 0);
+  coordinator.Stop();
 }
 
 TEST(ClientDeadlineTest, ConnectTimeoutDoesNotHang) {

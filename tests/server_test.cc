@@ -19,6 +19,7 @@
 #include "server/wire.h"
 #include "skyserver/catalog.h"
 #include "util/string_util.h"
+#include "workload/telemetry.h"
 
 namespace sciborq {
 namespace {
@@ -489,6 +490,60 @@ TEST_F(ServerTest, GracefulStopDrainsAndRefusesNewConnections) {
     EXPECT_TRUE(!frame.ok() || !frame->has_value());
   }
   EXPECT_FALSE(server_->running());
+}
+
+TEST(ServerWindowTest, WindowedTableLifecycleOverTheWire) {
+  // A windowed table driven entirely over the wire: created with a
+  // retention policy, filled, aged, queried for LAST, then dropped.
+  Engine engine;
+  SciborqServer server(&engine);
+  ASSERT_TRUE(server.Start().ok());
+  SciborqClient client =
+      SciborqClient::Connect("127.0.0.1", server.port()).value();
+
+  RetentionPolicy policy;
+  policy.time_column = "ts";
+  policy.bucket_width = 100;
+  policy.window_buckets = 3;
+  policy.checkpoint_on_evict = false;
+  policy.last_seen_capacity = 512;
+  policy.last_seen_expected_ingest = 8'192;
+  ASSERT_TRUE(client
+                  .CreateTable("telemetry", TelemetryGenerator::TableSchema(),
+                               policy, /*seed=*/7)
+                  .ok());
+
+  Table batch(TelemetryGenerator::TableSchema());
+  batch.AppendNumericRow({1, 50, 1.5});    // bucket 0 — about to age out
+  batch.AppendNumericRow({2, 120, 2.5});
+  batch.AppendNumericRow({1, 380, 3.5});   // advances the window past 0
+  EXPECT_EQ(client.Ingest("telemetry", batch).value(), 3);
+
+  const QueryOutcome exact =
+      client.Query("SELECT LAST(value) FROM telemetry BY station_id EXACT")
+          .value();
+  ASSERT_EQ(exact.rows.size(), 2u);
+  EXPECT_EQ(exact.rows[0].values[0], 3.5);
+  EXPECT_EQ(exact.rows[1].values[0], 2.5);
+  const QueryOutcome count =
+      client.Query("SELECT COUNT(*) FROM telemetry EXACT").value();
+  EXPECT_EQ(count.rows[0].values[0], 2.0);  // the bucket-0 row was evicted
+
+  const QueryOutcome bounded =
+      client
+          .Query(
+              "SELECT LAST(value) FROM telemetry BY station_id WITHIN 50 MS")
+          .value();
+  EXPECT_EQ(bounded.answered_by, "last-seen");
+  EXPECT_FALSE(bounded.exact);
+
+  ASSERT_TRUE(client.DropTable("telemetry").ok());
+  const Result<QueryOutcome> gone =
+      client.Query("SELECT COUNT(*) FROM telemetry EXACT");
+  ASSERT_FALSE(gone.ok());
+  EXPECT_EQ(gone.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(client.DropTable("telemetry").code(), StatusCode::kNotFound);
+  server.Stop();
 }
 
 }  // namespace

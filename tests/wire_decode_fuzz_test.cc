@@ -146,18 +146,13 @@ std::vector<DecodeCase> AllDecodeCases() {
          EncodeMoments(outcome.partials[0][1], w);
        }),
        Consuming([](WireReader* r) { return DecodeMoments(r).ok(); })});
-  for (uint8_t v = kWireVersionV1; v <= kWireVersion; ++v) {
-    cases.push_back(
-        {"outcome_v" + std::to_string(v),
-         Encoded([&](WireWriter* w) { EncodeOutcome(outcome, w, v); }),
-         Consuming([v](WireReader* r) { return DecodeOutcome(r, v).ok(); })});
-    cases.push_back(
-        {"table_info_v" + std::to_string(v),
-         Encoded([&](WireWriter* w) {
-           EncodeTableInfo(SampleTableInfo(), w, v);
-         }),
-         Consuming([v](WireReader* r) { return DecodeTableInfo(r, v).ok(); })});
-  }
+  cases.push_back(
+      {"outcome", Encoded([&](WireWriter* w) { EncodeOutcome(outcome, w); }),
+       Consuming([](WireReader* r) { return DecodeOutcome(r).ok(); })});
+  cases.push_back(
+      {"table_info",
+       Encoded([](WireWriter* w) { EncodeTableInfo(SampleTableInfo(), w); }),
+       Consuming([](WireReader* r) { return DecodeTableInfo(r).ok(); })});
   cases.push_back(
       {"params",
        Encoded([](WireWriter* w) {
@@ -213,7 +208,7 @@ std::vector<DecodeCase> AllDecodeCases() {
   });
   cases.push_back(
       {"execute_request",
-       EncodeRequest(Opcode::kExecute, execute, kWireVersion),
+       EncodeRequest(Opcode::kExecute, execute),
        [](std::string_view bytes) {
          const Result<RequestFrame> frame = DecodeRequest(bytes);
          if (!frame.ok()) return false;
@@ -222,15 +217,15 @@ std::vector<DecodeCase> AllDecodeCases() {
                 r.ExpectEnd().ok();
        }});
   const std::string answer =
-      Encoded([&](WireWriter* w) { EncodeOutcome(outcome, w, kWireVersion); });
+      Encoded([&](WireWriter* w) { EncodeOutcome(outcome, w); });
   cases.push_back(
       {"query_response",
-       EncodeResponse(Opcode::kQuery, Status::OK(), answer, kWireVersion),
+       EncodeResponse(Opcode::kQuery, Status::OK(), answer),
        [](std::string_view bytes) {
          const Result<ResponseFrame> frame = DecodeResponse(bytes);
          if (!frame.ok()) return false;
          WireReader r(frame->payload);
-         return DecodeOutcome(&r, frame->version).ok() && r.ExpectEnd().ok();
+         return DecodeOutcome(&r).ok() && r.ExpectEnd().ok();
        }});
   return cases;
 }

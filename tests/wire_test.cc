@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "api/engine.h"
+#include "util/string_util.h"
 
 namespace sciborq {
 namespace {
@@ -387,52 +388,26 @@ TEST(WireEnvelopeTest, WrongVersionRejected) {
   EXPECT_FALSE(DecodeResponse(resp).ok());
 }
 
-TEST(WireEnvelopeTest, V1OpcodesStayByteIdenticalV1) {
-  // The acceptance bar for protocol v2: frames carrying v1 opcodes must not
-  // change a single byte, version prefix included.
-  for (const Opcode op : {Opcode::kQuery, Opcode::kUse, Opcode::kSetBounds,
-                          Opcode::kCatalog, Opcode::kPing}) {
-    const std::string req = EncodeRequest(op, "payload");
-    EXPECT_EQ(kWireVersionV1, static_cast<uint8_t>(req[0]))
-        << OpcodeToString(op);
-    EXPECT_EQ(static_cast<uint8_t>(op), static_cast<uint8_t>(req[1]));
-    const std::string resp = EncodeResponse(op, Status::OK(), "");
-    EXPECT_EQ(kWireVersionV1, static_cast<uint8_t>(resp[0]))
-        << OpcodeToString(op);
+TEST(WireEnvelopeTest, MismatchedVersionsRefusedNamingBoth) {
+  // One protocol version: every other version byte is refused, in requests
+  // and responses alike, with a message naming both sides' versions.
+  const std::string ours = StrFormat("this build speaks v%u", kWireVersion);
+  for (const int version : {0, 1, 6, 8, 255}) {
+    std::string request = EncodeRequest(Opcode::kPing, "");
+    std::string response = EncodeResponse(Opcode::kPing, Status::OK(), "");
+    request[0] = static_cast<char>(version);
+    response[0] = static_cast<char>(version);
+    const std::string theirs = StrFormat("peer speaks protocol v%d", version);
+    for (const Status& st :
+         {DecodeRequest(request).status(), DecodeResponse(response).status()}) {
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << version;
+      EXPECT_NE(st.message().find(theirs), std::string::npos) << st.message();
+      EXPECT_NE(st.message().find(ours), std::string::npos) << st.message();
+    }
   }
-  // And the new opcodes are stamped v2, so a v1-only peer rejects them
-  // cleanly instead of misreading them.
-  for (const Opcode op :
-       {Opcode::kPrepare, Opcode::kExecute, Opcode::kCloseStmt}) {
-    EXPECT_EQ(kWireVersionV2,
-              static_cast<uint8_t>(EncodeRequest(op, "")[0]))
-        << OpcodeToString(op);
-  }
-}
-
-TEST(WireEnvelopeTest, V2OpcodesRoundTripAndRequireV2) {
-  for (const Opcode op :
-       {Opcode::kPrepare, Opcode::kExecute, Opcode::kCloseStmt}) {
-    const std::string body = EncodeRequest(op, "xyz");
-    const Result<RequestFrame> decoded = DecodeRequest(body);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    EXPECT_EQ(op, decoded->opcode);
-    EXPECT_EQ("xyz", decoded->payload);
-
-    // The same opcode under a v1 version byte is rejected with a version
-    // hint, not treated as garbage.
-    std::string v1_body = body;
-    v1_body[0] = static_cast<char>(kWireVersionV1);
-    const Result<RequestFrame> rejected = DecodeRequest(v1_body);
-    ASSERT_FALSE(rejected.ok());
-    EXPECT_NE(rejected.status().message().find("requires protocol v2"),
-              std::string::npos)
-        << rejected.status().message();
-  }
-  // A v2 envelope may still carry v1 opcodes (v2 is a superset).
-  std::string query = EncodeRequest(Opcode::kQuery, "");
-  query[0] = static_cast<char>(kWireVersionV2);
-  EXPECT_TRUE(DecodeRequest(query).ok());
+  EXPECT_TRUE(DecodeRequest(EncodeRequest(Opcode::kPing, "")).ok());
+  EXPECT_TRUE(
+      DecodeResponse(EncodeResponse(Opcode::kPing, Status::OK(), "")).ok());
 }
 
 TEST(WireEnvelopeTest, UnknownOpcodeRejected) {
@@ -588,6 +563,403 @@ TEST(WireEnvelopeTest, ResponseTruncationsFailCleanly) {
   for (size_t len = 0; len < 7 && len < body.size(); ++len) {
     EXPECT_FALSE(DecodeResponse(body.substr(0, len)).ok())
         << "envelope truncated to " << len << " bytes decoded";
+  }
+}
+
+// ------------------------------- distributed, trace and catalog fields ---
+//
+// Every frame carries the full layout; these suites keep the names of the
+// protocol revision that first added each field group.
+
+AggregateMoments MakeMoments(std::initializer_list<double> values,
+                             int64_t count_only) {
+  AggregateMoments m;
+  for (double v : values) m.Add(v);
+  for (int64_t i = 0; i < count_only; ++i) m.AddRowOnly();
+  return m;
+}
+
+QueryOutcome MakeDistributedOutcome() {
+  QueryOutcome outcome;
+  outcome.table = "sky";
+  outcome.sql = "SELECT COUNT(*), AVG(r) FROM sky EXACT";
+  QueryResultRow row;
+  row.group_key = Value::Null();
+  row.values = {100.0, 17.25};
+  row.input_rows = 100;
+  outcome.rows.push_back(row);
+  AggregateEstimate est = MakeEstimate(100.0, 0.0, true, 100);
+  AggregateEstimate est2 = MakeEstimate(17.25, 0.0, true, 100);
+  outcome.estimates.push_back({est, est2});
+  outcome.answered_by = "base";
+  outcome.exact = true;
+  outcome.error_bound_met = true;
+  outcome.elapsed_seconds = 0.012;
+  LayerAttempt attempt;
+  attempt.layer_name = "shard0/base";
+  attempt.is_base = true;
+  attempt.met_error_bound = true;
+  outcome.attempts.push_back(attempt);
+  // The distributed fields under test.
+  outcome.partial = true;
+  outcome.shards_responded = 1;
+  outcome.shards_total = 2;
+  outcome.partials = {
+      {MakeMoments({1.0, 2.0, 3.0}, 3), MakeMoments({17.0, 17.5}, 0)}};
+  return outcome;
+}
+
+TEST(WireV3Test, V3OutcomeRoundTripsDistributedFields) {
+  const QueryOutcome outcome = MakeDistributedOutcome();
+  const std::string bytes = EncodedOutcome(outcome);
+  WireReader r(bytes);
+  Result<QueryOutcome> decoded = DecodeOutcome(&r);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_TRUE(r.ExpectEnd().ok());
+  EXPECT_TRUE(decoded->partial);
+  EXPECT_EQ(1, decoded->shards_responded);
+  EXPECT_EQ(2, decoded->shards_total);
+  ASSERT_EQ(1u, decoded->partials.size());
+  ASSERT_EQ(2u, decoded->partials[0].size());
+  EXPECT_TRUE(decoded->partials[0][0] == outcome.partials[0][0]);
+  EXPECT_TRUE(decoded->partials[0][1] == outcome.partials[0][1]);
+  EXPECT_EQ(bytes, EncodedOutcome(*decoded));
+}
+
+TEST(WireV3Test, MomentsRoundTripBitExactly) {
+  // Merging a decoded state must equal merging the original — the codec has
+  // to carry the raw Welford fields (count/mean/m2/min/max), not derived
+  // quantities.
+  AggregateMoments original = MakeMoments({1.5, -2.25, 1e308, 0.125}, 7);
+  WireWriter w;
+  EncodeMoments(original, &w);
+  WireReader r(w.buffer());
+  Result<AggregateMoments> decoded = DecodeMoments(&r);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_TRUE(r.ExpectEnd().ok());
+  EXPECT_TRUE(original == *decoded);
+
+  AggregateMoments other = MakeMoments({4.0, 5.5}, 1);
+  AggregateMoments merged_original = original;
+  merged_original.Merge(other);
+  AggregateMoments merged_decoded = *decoded;
+  merged_decoded.Merge(other);
+  EXPECT_TRUE(merged_original == merged_decoded);
+}
+
+TEST(WireV3Test, HostilePartialsCountRejected) {
+  // Truncating a distributed outcome anywhere — including inside the
+  // partials matrix counts — must fail cleanly, never over-read.
+  const std::string bytes = EncodedOutcome(MakeDistributedOutcome());
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    WireReader r(std::string_view(bytes).substr(0, cut));
+    EXPECT_FALSE(DecodeOutcome(&r).ok()) << "cut " << cut;
+  }
+  // A partials row count claiming more rows than the bytes could hold: drop
+  // the zero partials count and the empty trace fields behind it (three
+  // u32s), then claim 2^31 rows with nothing behind them.
+  QueryOutcome no_partials = MakeDistributedOutcome();
+  no_partials.partials.clear();
+  std::string prefix = EncodedOutcome(no_partials);
+  prefix.resize(prefix.size() - 3 * 4);
+  WireWriter count;
+  count.PutU32(0x7fffffffu);
+  prefix += count.buffer();
+  WireReader r(prefix);
+  EXPECT_FALSE(DecodeOutcome(&r).ok());
+}
+
+QueryOutcome MakeTracedOutcome() {
+  QueryOutcome outcome;
+  outcome.table = "sky";
+  outcome.sql = "SELECT COUNT(*) FROM sky ERROR 5%";
+  QueryResultRow row;
+  row.group_key = Value::Null();
+  row.values = {512.0};
+  row.input_rows = 64;
+  outcome.rows.push_back(row);
+  outcome.estimates.push_back({MakeEstimate(512.0, 12.0, false, 64)});
+  outcome.answered_by = "l1";
+  outcome.error_bound_met = true;
+  outcome.elapsed_seconds = 0.0042;
+  LayerAttempt attempt;
+  attempt.layer_name = "l1";
+  attempt.met_error_bound = true;
+  outcome.attempts.push_back(attempt);
+  // The trace fields under test.
+  outcome.query_id = "qc-17";
+  outcome.spans = {{"parse", 0.0, 0.0001},
+                   {"plan", 0.0001, 0.0002},
+                   {"shard0/execute", 0.0005, 0.0031}};
+  return outcome;
+}
+
+std::vector<obs::StatSample> MakeSamples() {
+  return {{"sciborq_queries_total", "{instance=\"server-1\"}", 42.0},
+          {"sciborq_query_seconds_bucket",
+           "{instance=\"server-1\",le=\"0.001\"}", 17.0},
+          {"sciborq_recovery_warnings", "", 0.0}};
+}
+
+std::vector<obs::SlowQueryEntry> MakeSlowEntries() {
+  obs::SlowQueryEntry e;
+  e.query_id = "q-9";
+  e.table = "sky";
+  e.sql = "SELECT AVG(r) FROM sky WITHIN 1 MS ERROR 0.001%";
+  e.asked_max_ms = 1.0;
+  e.asked_max_error = 0.00001;
+  e.asked_confidence = 0.95;
+  e.asked_exact = false;
+  e.error_bound_met = false;
+  e.deadline_exceeded = true;
+  e.elapsed_seconds = 0.00112;
+  e.answered_by = "l0";
+  e.trace = "attempt l0: ...\nspan parse: start=0.000ms dur=0.010ms";
+  obs::SlowQueryEntry e2;
+  e2.query_id = "qc-3";
+  e2.sql = "SELECT COUNT(*) FROM sky EXACT";
+  e2.asked_exact = true;
+  e2.error_bound_met = true;
+  return {e, e2};
+}
+
+TEST(WireV4Test, V4OutcomeRoundTripsTraceFields) {
+  const QueryOutcome outcome = MakeTracedOutcome();
+  const std::string bytes = EncodedOutcome(outcome);
+  WireReader r(bytes);
+  Result<QueryOutcome> decoded = DecodeOutcome(&r);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_TRUE(r.ExpectEnd().ok());
+  EXPECT_EQ("qc-17", decoded->query_id);
+  ASSERT_EQ(3u, decoded->spans.size());
+  EXPECT_EQ("parse", decoded->spans[0].name);
+  EXPECT_EQ("shard0/execute", decoded->spans[2].name);
+  EXPECT_EQ(outcome.spans[2].start_seconds, decoded->spans[2].start_seconds);
+  EXPECT_EQ(outcome.spans[2].duration_seconds,
+            decoded->spans[2].duration_seconds);
+  EXPECT_EQ(bytes, EncodedOutcome(*decoded));
+}
+
+TEST(WireV4Test, StatSamplesRoundTrip) {
+  const std::vector<obs::StatSample> samples = MakeSamples();
+  WireWriter w;
+  EncodeStatSamples(samples, &w);
+  const std::string bytes = w.Take();
+  WireReader r(bytes);
+  Result<std::vector<obs::StatSample>> decoded = DecodeStatSamples(&r);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_TRUE(r.ExpectEnd().ok());
+  ASSERT_EQ(samples.size(), decoded->size());
+  for (size_t i = 0; i < samples.size(); ++i) {
+    EXPECT_EQ(samples[i].name, (*decoded)[i].name);
+    EXPECT_EQ(samples[i].labels, (*decoded)[i].labels);
+    EXPECT_EQ(samples[i].value, (*decoded)[i].value);
+  }
+  WireWriter again;
+  EncodeStatSamples(*decoded, &again);
+  EXPECT_EQ(bytes, again.Take());
+}
+
+TEST(WireV4Test, SlowQueriesRoundTrip) {
+  const std::vector<obs::SlowQueryEntry> entries = MakeSlowEntries();
+  WireWriter w;
+  EncodeSlowQueries(entries, &w);
+  const std::string bytes = w.Take();
+  WireReader r(bytes);
+  Result<std::vector<obs::SlowQueryEntry>> decoded = DecodeSlowQueries(&r);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_TRUE(r.ExpectEnd().ok());
+  ASSERT_EQ(entries.size(), decoded->size());
+  for (size_t i = 0; i < entries.size(); ++i) {
+    EXPECT_EQ(entries[i].query_id, (*decoded)[i].query_id);
+    EXPECT_EQ(entries[i].table, (*decoded)[i].table);
+    EXPECT_EQ(entries[i].sql, (*decoded)[i].sql);
+    EXPECT_EQ(entries[i].asked_max_ms, (*decoded)[i].asked_max_ms);
+    EXPECT_EQ(entries[i].asked_max_error, (*decoded)[i].asked_max_error);
+    EXPECT_EQ(entries[i].asked_confidence, (*decoded)[i].asked_confidence);
+    EXPECT_EQ(entries[i].asked_exact, (*decoded)[i].asked_exact);
+    EXPECT_EQ(entries[i].error_bound_met, (*decoded)[i].error_bound_met);
+    EXPECT_EQ(entries[i].deadline_exceeded, (*decoded)[i].deadline_exceeded);
+    EXPECT_EQ(entries[i].elapsed_seconds, (*decoded)[i].elapsed_seconds);
+    EXPECT_EQ(entries[i].answered_by, (*decoded)[i].answered_by);
+    EXPECT_EQ(entries[i].trace, (*decoded)[i].trace);
+  }
+  WireWriter again;
+  EncodeSlowQueries(*decoded, &again);
+  EXPECT_EQ(bytes, again.Take());
+}
+
+TEST(WireV4Test, HostileStatCountRejected) {
+  // A count claiming more entries than the buffer could possibly back must
+  // fail before allocating.
+  WireWriter w;
+  w.PutU32(0x7fffffff);
+  WireReader r(w.buffer());
+  EXPECT_FALSE(DecodeStatSamples(&r).ok());
+  WireReader r2(w.buffer());
+  EXPECT_FALSE(DecodeSlowQueries(&r2).ok());
+}
+
+TEST(WireV4Test, TruncationFuzzNeverCrashes) {
+  // Every strict prefix of a valid payload must decode to a clean error.
+  WireWriter samples;
+  EncodeStatSamples(MakeSamples(), &samples);
+  WireWriter slow;
+  EncodeSlowQueries(MakeSlowEntries(), &slow);
+  const std::string outcome = EncodedOutcome(MakeTracedOutcome());
+  for (size_t cut = 0; cut < samples.buffer().size(); ++cut) {
+    WireReader r(std::string_view(samples.buffer()).substr(0, cut));
+    EXPECT_FALSE(DecodeStatSamples(&r).ok()) << "cut " << cut;
+  }
+  for (size_t cut = 0; cut < slow.buffer().size(); ++cut) {
+    WireReader r(std::string_view(slow.buffer()).substr(0, cut));
+    EXPECT_FALSE(DecodeSlowQueries(&r).ok()) << "cut " << cut;
+  }
+  for (size_t cut = 0; cut < outcome.size(); ++cut) {
+    WireReader r(std::string_view(outcome).substr(0, cut));
+    EXPECT_FALSE(DecodeOutcome(&r).ok()) << "cut " << cut;
+  }
+}
+
+std::string EncodedInfo(const TableInfo& info) {
+  WireWriter w;
+  EncodeTableInfo(info, &w);
+  return w.Take();
+}
+
+TableInfo MakeStorageInfo() {
+  TableInfo info;
+  info.name = "sky";
+  info.rows = 3 * 16 * 1024 + 77;
+  info.population_seen = info.rows;
+  info.shards = 4;
+  info.storage = {
+      {"id", "for", 409'816, 71'724},
+      {"flag", "rle", 409'816, 624},
+      {"ra", "plain", 409'816, 409'816},
+      {"obj_class", "dict", 512'270, 201'144},
+  };
+  return info;
+}
+
+TEST(WireV5Test, V5RoundTripsStorageBlock) {
+  const TableInfo info = MakeStorageInfo();
+  const std::string bytes = EncodedInfo(info);
+  WireReader r(bytes);
+  Result<TableInfo> decoded = DecodeTableInfo(&r);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_TRUE(r.ExpectEnd().ok());
+  EXPECT_EQ(decoded->shards, 4);
+  ASSERT_EQ(decoded->storage.size(), info.storage.size());
+  for (size_t i = 0; i < info.storage.size(); ++i) {
+    EXPECT_EQ(decoded->storage[i].column, info.storage[i].column);
+    EXPECT_EQ(decoded->storage[i].encoding, info.storage[i].encoding);
+    EXPECT_EQ(decoded->storage[i].plain_bytes, info.storage[i].plain_bytes);
+    EXPECT_EQ(decoded->storage[i].encoded_bytes, info.storage[i].encoded_bytes);
+  }
+  EXPECT_EQ(bytes, EncodedInfo(*decoded));
+}
+
+TEST(WireV5Test, HostileStorageCountFailsCleanly) {
+  // Replace the (empty) storage block's zero count with a count that
+  // nothing backs: the decoder must error out, not allocate 2^31 entries.
+  TableInfo info = MakeStorageInfo();
+  info.storage.clear();
+  std::string bytes = EncodedInfo(info);
+  bytes.resize(bytes.size() - 4);
+  WireWriter tail;
+  tail.PutU32(0x7fffffffu);
+  bytes += tail.buffer();
+  WireReader r(bytes);
+  EXPECT_FALSE(DecodeTableInfo(&r).ok());
+}
+
+TEST(WireV5Test, TruncationFuzzNeverCrashes) {
+  const std::string bytes = EncodedInfo(MakeStorageInfo());
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    WireReader r(std::string_view(bytes).substr(0, cut));
+    EXPECT_FALSE(DecodeTableInfo(&r).ok()) << "cut " << cut;
+  }
+}
+
+TEST(WireV5Test, DataLossStatusSurvivesTheWire) {
+  // kDataLoss is the code a shard reports when asked to recover a
+  // future-format snapshot.
+  WireWriter w;
+  EncodeStatus(Status::DataLoss("snapshot needs a newer build"), &w);
+  WireReader r(w.buffer());
+  Status transported;
+  ASSERT_TRUE(DecodeStatus(&r, &transported).ok());
+  EXPECT_EQ(transported.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(transported.message(), "snapshot needs a newer build");
+}
+
+RetentionPolicy WindowPolicy() {
+  RetentionPolicy policy;
+  policy.time_column = "ts";
+  policy.bucket_width = 1'000;
+  policy.window_buckets = 10;
+  policy.checkpoint_on_evict = false;
+  policy.last_seen_capacity = 512;
+  policy.last_seen_expected_ingest = 8'192;
+  return policy;
+}
+
+std::string EncodedPolicy(const RetentionPolicy& policy) {
+  WireWriter w;
+  EncodeRetentionPolicy(policy, &w);
+  return w.Take();
+}
+
+TEST(WireV6Test, RetentionPolicyRoundTrips) {
+  const RetentionPolicy policy = WindowPolicy();
+  const std::string bytes = EncodedPolicy(policy);
+  WireReader r(bytes);
+  Result<RetentionPolicy> decoded = DecodeRetentionPolicy(&r);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_TRUE(r.ExpectEnd().ok());
+  EXPECT_TRUE(*decoded == policy);
+  EXPECT_EQ(EncodedPolicy(*decoded), bytes);
+}
+
+TEST(WireV6Test, DisabledPolicyIsASingleZeroByte) {
+  const std::string bytes = EncodedPolicy(RetentionPolicy());
+  EXPECT_EQ(bytes, std::string(1, '\0'));
+  WireReader r(bytes);
+  Result<RetentionPolicy> decoded = DecodeRetentionPolicy(&r);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_FALSE(decoded->enabled());
+}
+
+TEST(WireV6Test, HostilePolicyFieldsRejected) {
+  const auto rejects = [](const std::string& column, int64_t width,
+                          int64_t window, int64_t capacity,
+                          int64_t expected) {
+    WireWriter w;
+    w.PutBool(true);
+    w.PutString(column);
+    w.PutI64(width);
+    w.PutI64(window);
+    w.PutBool(true);
+    w.PutI64(capacity);
+    w.PutI64(expected);
+    WireReader r(w.buffer());
+    return !DecodeRetentionPolicy(&r).ok();
+  };
+  EXPECT_TRUE(rejects("", 1'000, 10, 512, 8'192));  // flag set, no column
+  EXPECT_TRUE(rejects("ts", 0, 10, 512, 8'192));
+  EXPECT_TRUE(rejects("ts", -5, 10, 512, 8'192));
+  EXPECT_TRUE(rejects("ts", 1'000, 0, 512, 8'192));
+  EXPECT_TRUE(rejects("ts", 1'000, 10, 0, 8'192));
+  EXPECT_TRUE(rejects("ts", 1'000, 10, 512, -1));
+  EXPECT_FALSE(rejects("ts", 1'000, 10, 512, 0));  // 0 = "use the default D"
+}
+
+TEST(WireV6Test, TruncationFuzzNeverCrashes) {
+  const std::string bytes = EncodedPolicy(WindowPolicy());
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    WireReader r(std::string_view(bytes).substr(0, cut));
+    EXPECT_FALSE(DecodeRetentionPolicy(&r).ok()) << "cut " << cut;
   }
 }
 
