@@ -31,31 +31,6 @@ std::vector<ImpressionHierarchy::LayerSpec> DefaultLayers() {
   return {{"l0", 64 * 1024}, {"l1", 8 * 1024}, {"l2", 1024}};
 }
 
-/// Degenerate (zero-width, exact=true) intervals for a base-data answer —
-/// the shape BoundedExecutor emits for its own base fallback, so EXACT
-/// queries and escalated ones are indistinguishable downstream.
-std::vector<std::vector<AggregateEstimate>> ExactEstimates(
-    const std::vector<QueryResultRow>& rows, double confidence) {
-  std::vector<std::vector<AggregateEstimate>> out;
-  out.reserve(rows.size());
-  for (const auto& row : rows) {
-    std::vector<AggregateEstimate> ests;
-    ests.reserve(row.values.size());
-    for (const double v : row.values) {
-      AggregateEstimate est;
-      est.estimate = v;
-      est.ci_lo = v;
-      est.ci_hi = v;
-      est.confidence = confidence;
-      est.sample_rows = row.input_rows;
-      est.exact = true;
-      ests.push_back(est);
-    }
-    out.push_back(std::move(ests));
-  }
-  return out;
-}
-
 /// Process-wide query-id source. Monotonic, not random: ids only need to be
 /// unique within a trace-stitching window, and determinism keeps tests
 /// simple.
@@ -970,88 +945,28 @@ Result<QueryOutcome> Engine::Query(const BoundedQuery& bounded,
   outcome.sql = bounded.ToString();
   outcome.query_id = exec.query_id.empty() ? NextQueryId() : exec.query_id;
 
+  // Per-shard newest rows cannot be combined without each shard's
+  // timestamps, so LAST has no mergeable answer.
+  if (exec.mergeable && IsLastQuery(query)) {
+    return Status::InvalidArgument("LAST is not mergeable across shards");
+  }
+  // A mergeable caller (shard side of a fan-out) gets the Welford state
+  // behind every base-data value, and an empty slice answers NaN instead of
+  // failing.
+  ExactRunOptions base_options;
+  base_options.lenient = exec.mergeable;
+  base_options.moments = exec.mergeable ? &outcome.partials : nullptr;
+
   {
     ReaderMutexLock data_lock(&entry->data_mu);
     tracer.Begin("execute");
-    BoundedAnswer answer;
-    if (IsLastQuery(query)) {
-      // Latest-value path (retention/last_query.h): EXACT scans the base
-      // window, bounded scans the standalone last-seen impression — the
-      // recency-biased sample whose acceptance lag is the only staleness a
-      // bounded answer pays. Not mergeable: per-shard newest rows cannot be
-      // combined without each shard's timestamps.
-      if (exec.mergeable) {
-        return Status::InvalidArgument("LAST is not mergeable across shards");
-      }
-      if (!entry->retention) {
-        return Status::FailedPrecondition(StrFormat(
-            "table '%s' has no retention policy: LAST needs the policy's "
-            "time column to rank rows",
-            query.table.c_str()));
-      }
-      const int time_col = entry->retention->time_col_index();
-      Stopwatch last_watch;
-      const bool from_base = bounded.bounds.exact;
-      const Table& scanned =
-          from_base ? entry->base : entry->last_seen->impression().rows();
-      SCIBORQ_ASSIGN_OR_RETURN(
-          answer.rows, RunLast(scanned, query, time_col, query_pool_.get()));
-      answer.estimates = ExactEstimates(answer.rows, bound.confidence);
-      answer.answered_by = from_base ? "base" : "last-seen";
-      answer.error_bound_met = true;
-      if (!from_base) {
-        // Point estimates from a sample: same value shape, but not exact.
-        for (auto& row_estimates : answer.estimates) {
-          for (AggregateEstimate& est : row_estimates) est.exact = false;
-        }
-      }
-      LayerAttempt trace;
-      trace.layer_name = answer.answered_by;
-      trace.layer_rows = scanned.num_rows();
-      trace.matching_rows =
-          answer.rows.empty() ? 0 : answer.rows[0].input_rows;
-      trace.elapsed_seconds = last_watch.ElapsedSeconds();
-      trace.met_error_bound = true;
-      trace.is_base = from_base;
-      answer.attempts.push_back(std::move(trace));
-      answer.deadline_exceeded =
-          bound.time_budget_seconds > 0.0 &&
-          last_watch.ElapsedSeconds() > bound.time_budget_seconds;
-    } else if (bounded.bounds.exact) {
-      // EXACT short-circuits the escalation walk: no sample can serve the
-      // zero-error contract, so go straight to the base columns. A mergeable
-      // caller (shard side of a fan-out) also gets the Welford state behind
-      // each value, and an empty slice answers NaN instead of failing.
-      Stopwatch base_watch;
-      ExactRunOptions run_options;
-      run_options.lenient = exec.mergeable;
-      run_options.moments = exec.mergeable ? &outcome.partials : nullptr;
-      SCIBORQ_ASSIGN_OR_RETURN(
-          answer.rows,
-          RunExact(entry->base, query, query_pool_.get(), run_options));
-      answer.estimates = ExactEstimates(answer.rows, bound.confidence);
-      answer.answered_by = "base";
-      answer.error_bound_met = true;
-      LayerAttempt trace;
-      trace.layer_name = "base";
-      trace.layer_rows = entry->base.num_rows();
-      trace.matching_rows = answer.rows.empty() ? 0 : answer.rows[0].input_rows;
-      trace.elapsed_seconds = base_watch.ElapsedSeconds();
-      trace.met_error_bound = true;
-      trace.is_base = true;
-      answer.attempts.push_back(std::move(trace));
-      answer.deadline_exceeded = bound.time_budget_seconds > 0.0 &&
-                                 base_watch.ElapsedSeconds() >
-                                     bound.time_budget_seconds;
-    } else {
-      BoundedExecutorOptions exec_options;
-      exec_options.adapt = false;  // the engine owns the feedback loop
-      exec_options.shared_pool = query_pool_.get();
-      BoundedExecutor executor(&entry->base, &*entry->hierarchy,
-                               /*log=*/nullptr, /*tracker=*/nullptr,
-                               exec_options);
-      SCIBORQ_ASSIGN_OR_RETURN(answer, executor.Answer(query, bound));
-    }
+    BoundedExecutor executor(
+        &entry->base, &*entry->hierarchy, query_pool_.get(),
+        entry->last_seen ? &entry->last_seen->impression() : nullptr,
+        entry->retention ? entry->retention->time_col_index() : -1);
+    SCIBORQ_ASSIGN_OR_RETURN(
+        BoundedAnswer answer,
+        executor.Answer(query, bound, bounded.bounds.exact, base_options));
 
     // The adaptive side-effect (§3.1): serialized against other queries via
     // workload_mu, against ingest's tracker reads via the data lock held

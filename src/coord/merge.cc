@@ -140,8 +140,12 @@ Result<QueryOutcome> MergeShardOutcomes(const std::vector<ShardAnswer>& shards,
         bool ext_seen = false;
         for (const auto& [s, r] : slot.contribs) {
           const AggregateEstimate& e = ok[s]->outcome.estimates[r][a];
-          const double w = std::max<double>(
-              1.0, static_cast<double>(ok[s]->outcome.rows[r].input_rows));
+          const int64_t input_rows = ok[s]->outcome.rows[r].input_rows;
+          // An empty exact slice adds nothing to any aggregate, and its
+          // lenient AVG/VAR/MIN/MAX (NaN) would poison the composition.
+          if (e.exact && input_rows == 0) continue;
+          const double w =
+              std::max<double>(1.0, static_cast<double>(input_rows));
           sum_est += e.estimate;
           sum_var += e.std_error * e.std_error;
           wsum_est += w * e.estimate;

@@ -44,7 +44,8 @@ struct MergeOptions {
 ///    kind with error propagation: COUNT/SUM sum (se^2 adds), AVG weights by
 ///    input rows, VAR row-weights the shard variances, MIN/MAX take the
 ///    extreme (se of the winning shard). Intervals use the normal quantile
-///    at `confidence`.
+///    at `confidence`. Exact rows over zero input rows (an empty shard
+///    slice, whose lenient AVG/VAR/MIN/MAX are NaN) are skipped.
 ///
 /// Degraded mode (OK answers < shards_total): the merge still answers from
 /// the responders, but flags `partial`, scales COUNT/SUM up by

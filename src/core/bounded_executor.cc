@@ -8,6 +8,7 @@
 
 #include "exec/aggregate.h"
 #include "exec/expr.h"
+#include "retention/last_query.h"
 #include "util/check.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
@@ -109,8 +110,7 @@ Result<AggregateEstimate> EstimateOneAggregate(
     }
     case AggKind::kLast:
       return Status::InvalidArgument(
-          "LAST is answered by the latest-value path, not the bounded "
-          "executor");
+          "LAST is answered by the base step, not impression estimation");
   }
   return Status::Internal("unreachable aggregate kind");
 }
@@ -252,39 +252,89 @@ std::string BoundedAnswer::ToString() const {
 
 BoundedExecutor::BoundedExecutor(const Table* base,
                                  const ImpressionHierarchy* hierarchy,
-                                 QueryLog* log, InterestTracker* tracker,
-                                 Options options)
+                                 ThreadPool* pool, const Impression* last_seen,
+                                 int time_col)
     : base_(base),
       hierarchy_(hierarchy),
-      log_(log),
-      tracker_(tracker),
-      options_(options) {
+      pool_(pool),
+      last_seen_(last_seen),
+      time_col_(time_col) {
   SCIBORQ_CHECK(base_ != nullptr);
   SCIBORQ_CHECK(hierarchy_ != nullptr);
-  if (options_.shared_pool != nullptr) {
-    pool_ = options_.shared_pool;
-  } else {
-    const int threads = ThreadPool::ResolveThreadCount(options_.num_threads);
-    if (threads > 1) {
-      owned_pool_ = std::make_unique<ThreadPool>(threads);
-      pool_ = owned_pool_.get();
-    }
-  }
 }
 
-Result<BoundedAnswer> BoundedExecutor::Answer(const AggregateQuery& query,
-                                              const QualityBound& bound) {
+Result<BoundedAnswer> BoundedExecutor::BaseStep(
+    const AggregateQuery& query, const QualityBound& bound, bool exact,
+    const ExactRunOptions& base_options, const Deadline& deadline,
+    std::vector<LayerAttempt> attempts) const {
+  // LAST reads the newest rows by the retention time column. A bounded LAST
+  // scans the last-seen sample, whose acceptance lag is the only staleness
+  // it pays: same value shape, but not exact.
+  const bool last = IsLastQuery(query);
+  if (last && (time_col_ < 0 || last_seen_ == nullptr)) {
+    return Status::FailedPrecondition(StrFormat(
+        "table '%s' has no retention policy: LAST needs the policy's time "
+        "column to rank rows",
+        query.table.c_str()));
+  }
+  const bool from_base = !last || exact;
+  const Table& scanned = from_base ? *base_ : last_seen_->rows();
+  Stopwatch watch;
+  BoundedAnswer answer;
+  if (last) {
+    SCIBORQ_ASSIGN_OR_RETURN(answer.rows,
+                             RunLast(scanned, query, time_col_, pool_));
+  } else {
+    SCIBORQ_ASSIGN_OR_RETURN(answer.rows,
+                             RunExact(scanned, query, pool_, base_options));
+  }
+  answer.answered_by = from_base ? "base" : last_seen_->name();
+  answer.error_bound_met = true;
+  for (const auto& row : answer.rows) {
+    std::vector<AggregateEstimate> ests;
+    ests.reserve(row.values.size());
+    for (const double v : row.values) {
+      AggregateEstimate est;
+      est.estimate = v;
+      est.ci_lo = v;
+      est.ci_hi = v;
+      est.confidence = bound.confidence;
+      est.sample_rows = row.input_rows;
+      est.exact = from_base;
+      ests.push_back(est);
+    }
+    answer.estimates.push_back(std::move(ests));
+  }
+  LayerAttempt trace;
+  trace.layer_name = answer.answered_by;
+  trace.layer_rows = scanned.num_rows();
+  trace.matching_rows = answer.rows.empty() ? 0 : answer.rows[0].input_rows;
+  trace.elapsed_seconds = watch.ElapsedSeconds();
+  trace.met_error_bound = true;
+  trace.is_base = from_base;
+  attempts.push_back(std::move(trace));
+  answer.attempts = std::move(attempts);
+  answer.deadline_exceeded = deadline.Expired();
+  return answer;
+}
+
+Result<BoundedAnswer> BoundedExecutor::Answer(
+    const AggregateQuery& query, const QualityBound& bound, bool exact,
+    const ExactRunOptions& base_options) {
   Stopwatch total;
   const Deadline deadline =
       bound.time_budget_seconds > 0.0
           ? Deadline::AfterSeconds(bound.time_budget_seconds)
           : Deadline::Unlimited();
 
-  // The adaptive feedback loop (§3.1): every answered query sharpens the
-  // focal-point statistics for subsequent impression maintenance.
-  if (options_.adapt) {
-    if (log_ != nullptr) log_->Record(query);
-    if (tracker_ != nullptr) tracker_->ObserveQuery(query);
+  // EXACT and LAST go straight to the base step: no impression serves the
+  // zero-error contract, and LAST has its own sample.
+  if (exact || IsLastQuery(query)) {
+    SCIBORQ_ASSIGN_OR_RETURN(
+        BoundedAnswer answer,
+        BaseStep(query, bound, exact, base_options, deadline, {}));
+    answer.elapsed_seconds = total.ElapsedSeconds();
+    return answer;
   }
 
   BoundedAnswer best;
@@ -351,14 +401,13 @@ Result<BoundedAnswer> BoundedExecutor::Answer(const AggregateQuery& query,
   }
 
   // Final escalation: the base columns, "for a zero error margin" (§3.2) —
-  // unless forbidden, the clock ran out, or the predicted full-scan cost
-  // cannot fit the remaining budget. Predictive admission applies to the
-  // base table exactly as to impression layers: a 10 ms budget must never
-  // launch an unbounded base scan just because the deadline has not expired
-  // *yet*. With no layer answer at all, the scan proceeds regardless —
-  // "always return the best answer obtained so far" requires obtaining one.
-  bool base_admitted = bound.allow_base_fallback && !best.deadline_exceeded &&
-                       !deadline.Expired();
+  // unless the clock ran out, or the predicted full-scan cost cannot fit
+  // the remaining budget. Predictive admission applies to the base table
+  // exactly as to impression layers: a 10 ms budget must never launch an
+  // unbounded base scan just because the deadline has not expired *yet*.
+  // With no layer answer at all, the scan proceeds regardless — "always
+  // return the best answer obtained so far" requires obtaining one.
+  bool base_admitted = !best.deadline_exceeded && !deadline.Expired();
   if (base_admitted && deadline.limited() && have_answer &&
       est_seconds_per_row_ > 0.0) {
     const double predicted =
@@ -369,41 +418,12 @@ Result<BoundedAnswer> BoundedExecutor::Answer(const AggregateQuery& query,
     }
   }
   if (base_admitted) {
-    Stopwatch base_watch;
-    SCIBORQ_ASSIGN_OR_RETURN(std::vector<QueryResultRow> exact_rows,
-                             RunExact(*base_, query, pool_));
-    BoundedAnswer exact;
-    exact.rows = std::move(exact_rows);
-    exact.answered_by = "base";
-    exact.error_bound_met = true;
-    for (const auto& row : exact.rows) {
-      std::vector<AggregateEstimate> ests;
-      ests.reserve(row.values.size());
-      for (const double v : row.values) {
-        AggregateEstimate est;
-        est.estimate = v;
-        est.ci_lo = v;
-        est.ci_hi = v;
-        est.confidence = bound.confidence;
-        est.sample_rows = row.input_rows;
-        est.exact = true;
-        ests.push_back(est);
-      }
-      exact.estimates.push_back(std::move(ests));
-    }
-    LayerAttempt trace;
-    trace.layer_name = "base";
-    trace.layer_rows = base_->num_rows();
-    trace.elapsed_seconds = base_watch.ElapsedSeconds();
-    trace.met_error_bound = true;
-    trace.is_base = true;
-    trace.matching_rows =
-        exact.rows.empty() ? 0 : exact.rows[0].input_rows;
-    attempts.push_back(trace);
-    exact.attempts = std::move(attempts);
-    exact.elapsed_seconds = total.ElapsedSeconds();
-    exact.deadline_exceeded = deadline.Expired();
-    return exact;
+    SCIBORQ_ASSIGN_OR_RETURN(
+        BoundedAnswer answer,
+        BaseStep(query, bound, /*exact=*/false, base_options, deadline,
+                 std::move(attempts)));
+    answer.elapsed_seconds = total.ElapsedSeconds();
+    return answer;
   }
 
   if (!have_answer) {

@@ -1,7 +1,6 @@
 #ifndef SCIBORQ_CORE_BOUNDED_EXECUTOR_H_
 #define SCIBORQ_CORE_BOUNDED_EXECUTOR_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -10,9 +9,8 @@
 #include "exec/query.h"
 #include "stats/estimators.h"
 #include "util/result.h"
+#include "util/stopwatch.h"
 #include "util/thread_pool.h"
-#include "workload/interest_tracker.h"
-#include "workload/query_log.h"
 
 namespace sciborq {
 
@@ -58,55 +56,55 @@ Result<BoundedAnswer> EstimateOnImpression(const Impression& impression,
                                            double confidence,
                                            ThreadPool* pool = nullptr);
 
-/// Multi-layer bounded query processing (§3.2): walk the hierarchy from the
-/// smallest impression upward; accept the first answer within the error
-/// bound; stop early when the time budget would be blown; fall back to the
-/// base columns for a zero error margin.
-/// Tuning knobs for the bounded executor.
-struct BoundedExecutorOptions {
-  /// Record every answered query into the log / interest tracker — the
-  /// adaptive feedback loop of §3.1 ("as a side-effect of query
-  /// processing").
-  bool adapt = true;
-  /// Worker threads for the executor's scans (layer estimation and the base
-  /// fallback): 0 = hardware concurrency, 1 = serial (the default — callers
-  /// that pin exact latencies keep single-threaded determinism; results are
-  /// bit-identical either way).
-  int num_threads = 1;
-  /// Non-owning pool to run scans on instead of spawning one per executor;
-  /// takes precedence over num_threads. ParallelFor tracks completion per
-  /// call, so many executors (the Engine's concurrent queries) can share one
-  /// pool without waiting on each other's work.
-  ThreadPool* shared_pool = nullptr;
-};
-
+/// Multi-layer bounded query processing (§3.2), and the one answer path of
+/// every query kind: walk the hierarchy from the smallest impression upward;
+/// accept the first answer within the error bound; stop early when the time
+/// budget would be blown; fall back to the base columns for a zero error
+/// margin. EXACT skips the walk (no sample serves the zero-error contract),
+/// and LAST ranks rows by the retention time column, scanning the last-seen
+/// sample or, under EXACT, the base window. All of them end in one base step
+/// that shapes scanned rows into an answer: zero-width estimates, one
+/// attempt, and the deadline flag.
+///
+/// Scans run morsel-parallel on the given pool (null = serial); answers are
+/// bit-identical at any thread count. ParallelFor tracks completion per
+/// call, so many executors (the Engine's concurrent queries) can share one
+/// pool. The adaptive feedback loop of §3.1 (query log, interest tracker)
+/// belongs to the caller: Engine::Query records every answered query.
 class BoundedExecutor {
  public:
-  using Options = BoundedExecutorOptions;
-
-  /// All pointers non-owning; base/hierarchy required, log/tracker optional.
+  /// All pointers non-owning; base/hierarchy required. `last_seen` and
+  /// `time_col` (the retention time column's index) serve LAST queries; a
+  /// table without a retention policy passes null and -1.
   BoundedExecutor(const Table* base, const ImpressionHierarchy* hierarchy,
-                  QueryLog* log = nullptr, InterestTracker* tracker = nullptr,
-                  Options options = BoundedExecutorOptions());
+                  ThreadPool* pool = nullptr,
+                  const Impression* last_seen = nullptr, int time_col = -1);
 
-  /// Answers `query` under `bound`. Always returns an answer (the best one
-  /// achievable within the budget); inspect error_bound_met /
-  /// deadline_exceeded for the contract outcome. Fails only on malformed
-  /// queries.
-  Result<BoundedAnswer> Answer(const AggregateQuery& query,
-                               const QualityBound& bound);
+  /// Answers `query` under `bound`; `exact` is the SQL's EXACT. Every base
+  /// scan runs with `base_options`: a shard of a fan-out asks for lenient
+  /// empty aggregates and the Welford state behind each value. Always
+  /// returns an answer (the best one achievable within the budget); inspect
+  /// error_bound_met / deadline_exceeded for the contract outcome. Fails
+  /// only on malformed queries.
+  Result<BoundedAnswer> Answer(
+      const AggregateQuery& query, const QualityBound& bound,
+      bool exact = false,
+      const ExactRunOptions& base_options = ExactRunOptions());
 
  private:
+  /// The base step: scans the base columns (or, for a bounded LAST, the
+  /// last-seen sample) and appends its attempt to `attempts`.
+  Result<BoundedAnswer> BaseStep(const AggregateQuery& query,
+                                 const QualityBound& bound, bool exact,
+                                 const ExactRunOptions& base_options,
+                                 const Deadline& deadline,
+                                 std::vector<LayerAttempt> attempts) const;
+
   const Table* base_;
   const ImpressionHierarchy* hierarchy_;
-  QueryLog* log_;
-  InterestTracker* tracker_;
-  Options options_;
-  /// Owned worker pool; null when a shared pool is configured or
-  /// options_.num_threads resolves to 1.
-  std::unique_ptr<ThreadPool> owned_pool_;
-  /// The pool scans actually run on (owned or shared); null = serial.
-  ThreadPool* pool_ = nullptr;
+  ThreadPool* pool_;
+  const Impression* last_seen_;
+  int time_col_;
   /// Rolling per-row cost estimate (seconds/row) used to predict whether the
   /// next layer fits the remaining budget.
   double est_seconds_per_row_ = 0.0;

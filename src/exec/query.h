@@ -22,8 +22,6 @@ struct QualityBound {
   double confidence = 0.95;
   /// Wall-clock budget in seconds; <= 0 means unlimited ("error bound only").
   double time_budget_seconds = 0.0;
-  /// Permit the final escalation to the base table (zero error, §3.2).
-  bool allow_base_fallback = true;
 };
 
 /// A declarative aggregate query — the unit of work SciBORQ answers with
@@ -72,7 +70,8 @@ struct QueryBounds {
   }
 
   /// Overlays the specified terms onto `defaults`. EXACT forces
-  /// max_relative_error to 0 (the executor then escalates to the base data).
+  /// max_relative_error to 0; the executor takes `exact` itself and answers
+  /// from the base data without walking the impressions.
   QualityBound Resolve(const QualityBound& defaults) const;
 
   /// The bounds clause as SQL, e.g. "WITHIN 50 MS ERROR 5% CONFIDENCE 99%";

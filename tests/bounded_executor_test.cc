@@ -127,19 +127,49 @@ TEST_F(BoundedExecutorTest, MinMaxForcesBase) {
   EXPECT_TRUE(ans.error_bound_met);
 }
 
-TEST_F(BoundedExecutorTest, MinMaxWithoutFallbackReportsUnmet) {
+TEST_F(BoundedExecutorTest, ExactSkipsTheWalk) {
   BoundedExecutor exec(&catalog_->photo_obj_all, hierarchy_);
   QualityBound bound;
-  bound.max_relative_error = 0.5;
-  bound.allow_base_fallback = false;
-  AggregateQuery q;
-  q.aggregates = {{AggKind::kMax, "redshift"}};
-  const BoundedAnswer ans = exec.Answer(q, bound).value();
-  EXPECT_FALSE(ans.error_bound_met);
-  EXPECT_NE(ans.answered_by, "base");
-  // Best-effort answer still present (the sample max).
+  bound.max_relative_error = 0.5;  // a layer would meet this; EXACT wins
+  const BoundedAnswer ans =
+      exec.Answer(WholeSkyAvg(), bound, /*exact=*/true).value();
+  EXPECT_EQ(ans.answered_by, "base");
+  EXPECT_TRUE(ans.error_bound_met);
+  ASSERT_EQ(ans.attempts.size(), 1u);
+  EXPECT_TRUE(ans.attempts[0].is_base);
+  const auto truth = RunExact(catalog_->photo_obj_all, WholeSkyAvg()).value();
   ASSERT_EQ(ans.rows.size(), 1u);
-  EXPECT_GT(ans.rows[0].values[0], 0.0);
+  for (size_t i = 0; i < truth[0].values.size(); ++i) {
+    EXPECT_EQ(ans.rows[0].values[i], truth[0].values[i]);
+    EXPECT_TRUE(ans.estimates[0][i].exact);
+    EXPECT_EQ(ans.estimates[0][i].ci_lo, ans.estimates[0][i].ci_hi);
+  }
+}
+
+TEST_F(BoundedExecutorTest, EscalatedBaseScanTakesBaseOptions) {
+  // MIN forces the walk to the base columns; over an empty selection the
+  // strict scan fails, the lenient one answers NaN with its Welford state.
+  BoundedExecutor exec(&catalog_->photo_obj_all, hierarchy_);
+  QualityBound bound;
+  bound.max_relative_error = 0.1;
+  AggregateQuery q;
+  q.aggregates = {{AggKind::kAvg, "r"}, {AggKind::kMin, "r"}};
+  q.filter = Between("ra", -20.0, -10.0);
+  EXPECT_FALSE(exec.Answer(q, bound).ok());
+
+  std::vector<std::vector<AggregateMoments>> moments;
+  ExactRunOptions options;
+  options.lenient = true;
+  options.moments = &moments;
+  const BoundedAnswer ans =
+      exec.Answer(q, bound, /*exact=*/false, options).value();
+  EXPECT_EQ(ans.answered_by, "base");
+  EXPECT_GT(ans.attempts.size(), 1u);
+  ASSERT_EQ(ans.rows.size(), 1u);
+  EXPECT_EQ(ans.rows[0].input_rows, 0);
+  EXPECT_TRUE(std::isnan(ans.rows[0].values[0]));
+  ASSERT_EQ(moments.size(), 1u);
+  EXPECT_EQ(moments[0].size(), 2u);
 }
 
 TEST_F(BoundedExecutorTest, GroupedEstimates) {
@@ -171,7 +201,6 @@ TEST_F(BoundedExecutorTest, TimeBudgetShortCircuits) {
   QualityBound bound;
   bound.max_relative_error = 1e-9;  // unreachable by sampling
   bound.time_budget_seconds = 1e-5;  // essentially no time
-  bound.allow_base_fallback = true;
   const BoundedAnswer ans = exec.Answer(WholeSkyAvg(), bound).value();
   // Either it answered from a small layer before the deadline or flagged the
   // deadline; it must NOT have burned through to base.
@@ -189,34 +218,6 @@ TEST_F(BoundedExecutorTest, GenerousBudgetStillMeetsBound) {
   EXPECT_TRUE(ans.error_bound_met);
   EXPECT_FALSE(ans.deadline_exceeded);
   EXPECT_LT(ans.elapsed_seconds, 30.0);
-}
-
-TEST_F(BoundedExecutorTest, AdaptiveFeedbackLoop) {
-  QueryLog log;
-  InterestTracker tracker =
-      InterestTracker::Make({{"ra", 120.0, 3.0, 40}, {"dec", 0.0, 1.5, 40}})
-          .value();
-  BoundedExecutor exec(&catalog_->photo_obj_all, hierarchy_, &log, &tracker);
-  QualityBound bound;
-  bound.max_relative_error = 0.5;
-  AggregateQuery q;
-  q.aggregates = {{AggKind::kCount, ""}};
-  q.filter = FGetNearbyObjEq(150.0, 12.0, 3.0);
-  ASSERT_TRUE(exec.Answer(q, bound).ok());
-  EXPECT_EQ(log.size(), 1);
-  EXPECT_EQ(tracker.observed_points(), 2);
-}
-
-TEST_F(BoundedExecutorTest, AdaptCanBeDisabled) {
-  QueryLog log;
-  BoundedExecutorOptions options;
-  options.adapt = false;
-  BoundedExecutor exec(&catalog_->photo_obj_all, hierarchy_, &log, nullptr,
-                       options);
-  QualityBound bound;
-  bound.max_relative_error = 0.5;
-  ASSERT_TRUE(exec.Answer(WholeSkyAvg(), bound).ok());
-  EXPECT_EQ(log.size(), 0);
 }
 
 TEST_F(BoundedExecutorTest, MalformedQueryFails) {
@@ -242,7 +243,6 @@ TEST_F(BoundedExecutorTest, TinyBudgetNeverTriggersBaseScan) {
   BoundedExecutor exec(&catalog_->photo_obj_all, hierarchy_);
   QualityBound bound;
   bound.max_relative_error = 1e-12;  // unreachable by sampling -> wants base
-  bound.allow_base_fallback = true;
   // Budget chosen so the smallest layers can answer but a 100k-row base scan
   // predictably cannot fit. Warm the executor's per-row cost model first.
   QualityBound warm;

@@ -178,6 +178,38 @@ TEST_F(CoordMergeTest, EmptyShardIsIdentity) {
   EXPECT_FALSE(merged->partial);
 }
 
+// A layer answer merged with an empty shard's exact answer: the empty slice
+// answers its AVG leniently (NaN), and estimate composition skips it, so the
+// merged estimate is the layer shard's own.
+TEST_F(CoordMergeTest, EmptyExactShardLeavesLayerEstimate) {
+  const std::string sql = "SELECT COUNT(*), AVG(r) FROM sky ERROR 50%";
+  Engine empty;
+  Table no_rows(catalog_.photo_obj_all.schema());
+  LoadShard(&empty, no_rows);
+
+  const QueryOutcome layer = RunMergeable(&shard0_, sql);
+  ASSERT_FALSE(layer.exact) << layer.ToString();
+  const QueryOutcome nothing = RunMergeable(&empty, sql);
+  ASSERT_TRUE(nothing.exact) << nothing.ToString();
+  ASSERT_EQ(0, nothing.rows[0].input_rows);
+  ASSERT_TRUE(std::isnan(nothing.rows[0].values[1]));
+
+  Result<QueryOutcome> merged = MergeShardOutcomes(
+      {Answer("shard0", layer), Answer("shard1", nothing)},
+      OptionsFor(sql, 2));
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  ASSERT_EQ(1u, merged->rows.size());
+  for (size_t a = 0; a < 2; ++a) {
+    const AggregateEstimate& got = merged->estimates[0][a];
+    const AggregateEstimate& want = layer.estimates[0][a];
+    EXPECT_TRUE(std::isfinite(got.estimate)) << "aggregate " << a;
+    EXPECT_DOUBLE_EQ(want.estimate, got.estimate) << "aggregate " << a;
+    EXPECT_DOUBLE_EQ(want.std_error, got.std_error) << "aggregate " << a;
+  }
+  EXPECT_FALSE(merged->exact);
+  EXPECT_FALSE(merged->partial);
+}
+
 // COUNT and SUM compose additively in estimate mode, with standard errors
 // adding in quadrature: se_merged^2 = sum(se_i^2).
 TEST(CoordMergeMathTest, CountSumAdditivity) {

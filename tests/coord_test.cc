@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -141,6 +142,17 @@ class CoordTest : public ::testing::Test {
   std::unique_ptr<SciborqServer> shard_servers_[2];
 };
 
+/// Sum over every registry sample named `name` whose labels contain `label`.
+double SampleSum(const std::string& name, const std::string& label = "") {
+  double sum = 0.0;
+  for (const obs::StatSample& s : obs::DefaultRegistry()->Samples()) {
+    if (s.name == name && s.labels.find(label) != std::string::npos) {
+      sum += s.value;
+    }
+  }
+  return sum;
+}
+
 TEST_F(CoordTest, IngestRoutesContiguousSlices) {
   SciborqCoordinator coordinator(BothShards());
   Distribute(&coordinator);
@@ -193,6 +205,52 @@ TEST_F(CoordTest, MergedExactAnswerEqualsSingleNode) {
   }
   EXPECT_TRUE(saw0);
   EXPECT_TRUE(saw1);
+}
+
+// No EXACT, but MIN drives both shards to the base columns: their escalated
+// answers carry the same Welford state EXACT answers do, so the merge is the
+// single node's exact fold, not an average of per-shard variances.
+TEST_F(CoordTest, EscalatedBoundedAnswerEqualsSingleNodeExact) {
+  SciborqCoordinator coordinator(BothShards());
+  Distribute(&coordinator);
+
+  Result<QueryOutcome> merged =
+      coordinator.Query("SELECT VAR(r), MIN(r) FROM photo_obj_all");
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  Result<QueryOutcome> local =
+      reference_.Query("SELECT VAR(r), MIN(r) FROM photo_obj_all EXACT");
+  ASSERT_TRUE(local.ok());
+
+  EXPECT_TRUE(merged->exact) << merged->ToString();
+  EXPECT_TRUE(merged->error_bound_met);
+  ASSERT_EQ(1u, merged->rows.size());
+  for (size_t i = 0; i < local->rows[0].values.size(); ++i) {
+    EXPECT_EQ(0, std::memcmp(&local->rows[0].values[i],
+                             &merged->rows[0].values[i], sizeof(double)))
+        << "aggregate " << i << ": " << local->rows[0].values[i] << " vs "
+        << merged->rows[0].values[i];
+    EXPECT_TRUE(merged->estimates[0][i].exact);
+  }
+}
+
+// Shard 1 holds no row with objid < 100. Its escalated base scan answers the
+// empty slice leniently instead of failing, so a healthy shard is never
+// counted as unreachable.
+TEST_F(CoordTest, EmptySliceEscalationIsNotAShardError) {
+  SciborqCoordinator coordinator(BothShards());
+  Distribute(&coordinator);
+
+  const double errors_before = SampleSum("sciborq_coord_shard_errors_total");
+  Result<QueryOutcome> merged = coordinator.Query(
+      "SELECT AVG(r), MIN(r) FROM photo_obj_all WHERE objid < 100");
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_FALSE(merged->partial) << merged->ToString();
+  EXPECT_EQ(2, merged->shards_responded);
+  EXPECT_EQ(2, merged->shards_total);
+  EXPECT_TRUE(merged->error_bound_met);
+  EXPECT_EQ(errors_before, SampleSum("sciborq_coord_shard_errors_total"));
+  ASSERT_EQ(1u, merged->rows.size());
+  EXPECT_TRUE(std::isfinite(merged->rows[0].values[0]));
 }
 
 TEST_F(CoordTest, WireFaceServesUnmodifiedClients) {
@@ -442,17 +500,6 @@ TEST_F(CoordTest, WindowedCreateTableRefusedByCoordinator) {
   EXPECT_TRUE(client.Ping().ok());
   EXPECT_EQ(coordinator.protocol_errors(), 0);
   coordinator.Stop();
-}
-
-/// Sum over every registry sample named `name` whose labels contain `label`.
-double SampleSum(const std::string& name, const std::string& label = "") {
-  double sum = 0.0;
-  for (const obs::StatSample& s : obs::DefaultRegistry()->Samples()) {
-    if (s.name == name && s.labels.find(label) != std::string::npos) {
-      sum += s.value;
-    }
-  }
-  return sum;
 }
 
 /// Sends one request of every opcode through `client` and checks each

@@ -38,6 +38,21 @@ void LoadSky(Engine* engine, const std::string& name, int64_t rows,
   ASSERT_TRUE(engine->IngestBatch(name, catalog.photo_obj_all).ok());
 }
 
+/// Fraction of `t`'s rows inside the 3-degree box around (ra, dec) =
+/// (150, 12), the focus the workload tests query.
+double FocusFraction(const Table& t) {
+  const Column* ra = t.ColumnByName("ra").value();
+  const Column* dec = t.ColumnByName("dec").value();
+  int64_t hits = 0;
+  for (int64_t i = 0; i < t.num_rows(); ++i) {
+    if (std::abs(ra->GetDouble(i) - 150.0) < 3.0 &&
+        std::abs(dec->GetDouble(i) - 12.0) < 3.0) {
+      ++hits;
+    }
+  }
+  return static_cast<double>(hits) / static_cast<double>(t.num_rows());
+}
+
 // ----------------------------------------------------------- catalog -----
 
 TEST(EngineTest, MultiTableCatalog) {
@@ -241,26 +256,39 @@ TEST(EngineTest, WorkloadReplayBiasesNextIngest) {
   ASSERT_TRUE(engine.IngestBatch("sky", catalog.photo_obj_all).ok());
 
   // The top layer over-represents the focus region vs the base fraction.
-  const Table sample = engine.LayerSnapshot("sky", 0).value();
-  const auto near = [](const Table& t, int64_t* hits) {
-    const Column* ra = t.ColumnByName("ra").value();
-    const Column* dec = t.ColumnByName("dec").value();
-    *hits = 0;
-    for (int64_t i = 0; i < t.num_rows(); ++i) {
-      if (std::abs(ra->GetDouble(i) - 150.0) < 3.0 &&
-          std::abs(dec->GetDouble(i) - 12.0) < 3.0) {
-        ++*hits;
-      }
-    }
-  };
-  int64_t sample_hits = 0, base_hits = 0;
-  near(sample, &sample_hits);
-  near(catalog.photo_obj_all, &base_hits);
-  const double sample_frac =
-      static_cast<double>(sample_hits) / static_cast<double>(sample.num_rows());
-  const double base_frac = static_cast<double>(base_hits) /
-                           static_cast<double>(catalog.photo_obj_all.num_rows());
-  EXPECT_GT(sample_frac, 1.5 * base_frac);
+  EXPECT_GT(FocusFraction(engine.LayerSnapshot("sky", 0).value()),
+            1.5 * FocusFraction(catalog.photo_obj_all));
+}
+
+TEST(EngineTest, QueryFeedsLogAndInterestTracker) {
+  // The adaptive feedback loop (§3.1) is a side effect of Engine::Query:
+  // every answered query, bounded or EXACT, lands once in the table's log
+  // and in its interest tracker, which biases the next ingest.
+  SkyCatalogConfig config;
+  config.num_rows = 30'000;
+  const SkyCatalog catalog = GenerateSkyCatalog(config, 9).value();
+
+  Engine engine;
+  TableOptions options = SmallLayers();
+  options.tracked_attributes = {{"ra", 120.0, 3.0, 40}, {"dec", 0.0, 1.5, 40}};
+  ASSERT_TRUE(
+      engine.CreateTable("sky", catalog.photo_obj_all.schema(), options).ok());
+  for (int i = 0; i < 25; ++i) {
+    ASSERT_TRUE(engine
+                    .Query("SELECT COUNT(*) FROM sky "
+                           "WHERE cone(ra, dec; 150, 12; r=3) ERROR 20%")
+                    .ok());
+    ASSERT_TRUE(engine
+                    .Query("SELECT COUNT(*) FROM sky "
+                           "WHERE cone(ra, dec; 150, 12; r=3) EXACT")
+                    .ok());
+  }
+  EXPECT_EQ(engine.LoggedSql("sky")->size(), 50u);
+  EXPECT_EQ(engine.GetTableInfo("sky")->logged_queries, 50);
+
+  ASSERT_TRUE(engine.IngestBatch("sky", catalog.photo_obj_all).ok());
+  EXPECT_GT(FocusFraction(engine.LayerSnapshot("sky", 0).value()),
+            1.5 * FocusFraction(catalog.photo_obj_all));
 }
 
 // -------------------------------------------------------- concurrency ----

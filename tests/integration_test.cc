@@ -137,8 +137,7 @@ TEST_F(EndToEndTest, UniformBetterFarFromFocus) {
 }
 
 TEST_F(EndToEndTest, FullPipelineWithExecutor) {
-  QueryLog log;
-  BoundedExecutor exec(&catalog_->photo_obj_all, biased_, &log, tracker_);
+  BoundedExecutor exec(&catalog_->photo_obj_all, biased_);
   QualityBound bound;
   bound.max_relative_error = 0.10;
   bound.time_budget_seconds = 10.0;
@@ -150,7 +149,6 @@ TEST_F(EndToEndTest, FullPipelineWithExecutor) {
     EXPECT_NEAR(ans.rows[0].values[0], truth[0].values[0],
                 0.25 * truth[0].values[0]);
   }
-  EXPECT_EQ(log.size(), 1);
 }
 
 TEST_F(EndToEndTest, HierarchyMemoryOrdering) {

@@ -162,14 +162,9 @@ TEST_F(ParallelExecTest, BoundedExecutorParallelMatchesSerial) {
   QualityBound bound;
   bound.max_relative_error = 0.02;
 
-  BoundedExecutorOptions serial_opts;
-  serial_opts.num_threads = 1;
-  BoundedExecutor serial_exec(&catalog_->photo_obj_all, &hierarchy, nullptr,
-                              nullptr, serial_opts);
-  BoundedExecutorOptions parallel_opts;
-  parallel_opts.num_threads = 4;
-  BoundedExecutor parallel_exec(&catalog_->photo_obj_all, &hierarchy, nullptr,
-                                nullptr, parallel_opts);
+  ThreadPool pool(4);
+  BoundedExecutor serial_exec(&catalog_->photo_obj_all, &hierarchy);
+  BoundedExecutor parallel_exec(&catalog_->photo_obj_all, &hierarchy, &pool);
   const auto serial = serial_exec.Answer(q.Clone(), bound).value();
   const auto parallel = parallel_exec.Answer(q.Clone(), bound).value();
   EXPECT_EQ(serial.answered_by, parallel.answered_by);
